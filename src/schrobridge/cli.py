@@ -9,9 +9,11 @@ Subcommands::
     report        render a JSON report as a table on stdout
 
 Exit codes: 0 success / criterion certified / gap within tolerance;
-1 parse or validation failure; 2 degenerate or failed solve;
-3 iteration budget exhausted; 4 no checked criterion holds;
-5 compare gap above tolerance.
+1 parse or validation failure; 2 degenerate or failed solve, including
+a solver error (a vanishing or non-finite dual, a violated monotone
+decrease, or a Sinkhorn run refused on a kernel with a zero entry),
+reported as one ``error:`` line on stderr; 3 iteration budget exhausted;
+4 no checked criterion holds; 5 compare gap above tolerance.
 
 Reports are JSON with sorted keys (byte-identical for identical inputs
 and seed); infinities are serialized as the string "inf".  Traces are
@@ -25,7 +27,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,8 +102,31 @@ def _jsonable(obj):
     return obj
 
 
+def _dumps(obj, level: int = 0) -> str:
+    """``json.dumps(_jsonable(obj), sort_keys=True, indent=2)``, nested ``level`` deep.
+
+    Dicts (string keys) are walked here, and a nonempty float array with
+    only finite entries is written straight from ``float.__repr__``, as
+    the json encoder writes floats; everything else, including arrays
+    that hold ``inf`` or ``nan``, goes through ``_jsonable`` and ``json``.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, dict) and obj:
+        items = (f"{json.dumps(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj))
+        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
+    if (isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim and obj.size
+            and np.isfinite(obj).all()):
+        if obj.ndim == 1:
+            items = map(float.__repr__, obj.tolist())
+        else:
+            items = (_dumps(row, level + 1) for row in obj)
+        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
+    return text.replace("\n", pad[:-2])
+
+
 def _write_report(payload: dict, path: str | None) -> None:
-    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    text = _dumps(payload) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -139,20 +164,6 @@ def _load_ceiling(config: RunConfig, problem: DiscreteProblem) -> np.ndarray:
     return vec
 
 
-def _trace_rows(trace) -> list[dict]:
-    return [
-        {
-            "n": rec.n,
-            "min_u": rec.min_u,
-            "max_u": rec.max_u,
-            "residual": rec.residual,
-            "min_phi": rec.min_phi,
-            "normalization": rec.normalization,
-        }
-        for rec in trace
-    ]
-
-
 def cmd_solve(config: RunConfig) -> int:
     problem = _load_validated(config)
     payload: dict = {"command": "solve", "scheme": config.scheme, "seed": config.seed}
@@ -164,6 +175,9 @@ def cmd_solve(config: RunConfig) -> int:
             payload.update({"status": ft.STATUS_MAX_ITER})
             _write_report(payload, config.output_path)
             return EXIT_MAX_ITER
+        except ValueError as exc:  # the oracle refuses a kernel with a zero entry
+            sys.stderr.write(f"error: {exc}\n")
+            return EXIT_DEGENERATE
         payload.update({"status": ft.STATUS_CONVERGED, "iterations": None, "residual": None})
         _fill_solution(payload, sol)
         _write_report(payload, config.output_path)
@@ -193,7 +207,7 @@ def cmd_solve(config: RunConfig) -> int:
         }
     )
     if config.trace:
-        payload["trace"] = _trace_rows(result.trace)
+        payload["trace"] = [asdict(rec) for rec in result.trace]
         if config.output_path:
             _write_trace_csv(result.trace, config.output_path + ".trace.csv")
     if result.status == ft.STATUS_CONVERGED:
@@ -248,7 +262,7 @@ def _default_points(dim: int) -> int:
 
 
 def cmd_check(config: RunConfig) -> int:
-    gauss_obj = _sniff_gaussian(config.input_path)
+    gauss_obj = _sniff_gaussian(config.input_path) if config.input_format == "json" else None
     if gauss_obj is not None:
         gp = _gaussian_from_dict(gauss_obj)
         pts = config.points_per_dim or _default_points(gp.dim)
@@ -527,6 +541,9 @@ def main(argv=None) -> int:
     except (ParseError, SchemaError, ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except (ft.NonFiniteIntermediate, ft.MonotonicityViolated) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DEGENERATE
 
 
 def console_main() -> None:

@@ -103,7 +103,8 @@ def sum_ext(terms: Iterable[float]) -> float:
 
 # ---------------------------------------------------------------------------
 # Vectorized counterparts.  These realize the same conventions on numpy
-# arrays; they are what the solver's hot paths call.
+# arrays.  The ``finite_*`` variants skip the checks on input the caller
+# knows to be finite and positive, and keep the overflow guards.
 # ---------------------------------------------------------------------------
 
 
@@ -123,21 +124,6 @@ def as_ext_array(x, allow_inf: bool = True) -> np.ndarray:
     return a
 
 
-def inv_ext_array(s: np.ndarray) -> np.ndarray:
-    """Elementwise extended inversion of a nonnegative array."""
-    s = as_ext_array(s)
-    out = np.empty_like(s)
-    zero = s == 0.0
-    infm = np.isinf(s)
-    rest = ~(zero | infm)
-    out[zero] = INF
-    out[infm] = 0.0
-    out[rest] = 1.0 / s[rest]
-    if rest.any() and np.max(out[rest], initial=0.0) > OVERFLOW_LIMIT:
-        raise ExtOverflowError("elementwise inversion exceeded the overflow guard")
-    return out
-
-
 def scaled_inverse(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Elementwise ``f * inv_ext(s)`` for finite nonnegative ``f``.
 
@@ -152,8 +138,19 @@ def scaled_inverse(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     sinf = np.isinf(s)
     out[pos & szero] = INF
     rest = pos & ~szero & ~sinf
-    out[rest] = f[rest] / s[rest]
-    if rest.any() and np.max(out[rest], initial=0.0) > OVERFLOW_LIMIT:
+    if rest.any():
+        out[rest] = finite_scaled_inverse(f[rest], s[rest])
+    return out
+
+
+def finite_scaled_inverse(f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``f / s`` for finite nonnegative ``f`` and finite positive ``s``.
+
+    :func:`scaled_inverse` less its checks on the input, which the caller
+    vouches for; the result keeps the overflow guard.
+    """
+    out = f / s
+    if np.max(out, initial=0.0) > OVERFLOW_LIMIT:
         raise ExtOverflowError("scaled inversion exceeded the overflow guard")
     return out
 
@@ -176,7 +173,18 @@ def ext_matvec(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
                 raise ExtOverflowError("finite part of extended matvec overflowed")
             out[hit] = INF
             return out
-        out = matrix @ w
+        return finite_matvec(matrix, w)
+
+
+def finite_matvec(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``matrix @ w`` for a finite nonnegative matrix and a finite ``w``.
+
+    :func:`ext_matvec` less its checks on ``w``, which the caller vouches
+    for; the result keeps the overflow guard.  Run it under
+    ``np.errstate(over="ignore")``, as :func:`ext_matvec` does, to have an
+    overflow reported only by :class:`ExtOverflowError`.
+    """
+    out = matrix @ w
     if np.max(out, initial=0.0) > OVERFLOW_LIMIT:
         raise ExtOverflowError("extended matvec overflowed")
     return out

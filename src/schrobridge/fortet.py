@@ -35,6 +35,8 @@ from .extnum import (
     INF,
     as_ext_array,
     ext_matvec,
+    finite_matvec,
+    finite_scaled_inverse,
     scaled_inverse,
     sum_ext,
     mul_ext,
@@ -54,6 +56,10 @@ DEGENERATE_CUTOFF = 1e-13
 
 class NonFiniteIntermediate(RuntimeError):
     """An operation that requires finite duals met an infinite one."""
+
+
+class MonotonicityViolated(RuntimeError):
+    """An iterate of the truncated scheme exceeded its predecessor somewhere."""
 
 
 class DegeneratePotential(ValueError):
@@ -120,6 +126,36 @@ class SchrodingerSolution:
 # ---------------------------------------------------------------------------
 
 
+_VANISHED_DUAL = "dual of a finite potential vanished somewhere; is the problem reduced?"
+
+
+def _finite_positive(v: np.ndarray) -> bool:
+    return bool(v.min() > 0.0) and bool(v.max() < INF)
+
+
+def _dual_step(problem: DiscreteProblem):
+    """``u -> (psi(u), phi(u))`` for a finite, strictly positive ``u``.
+
+    The truncated scheme calls this instead of :func:`psi` and :func:`phi`:
+    its iterates cannot hold the zeros and infinities those maps check
+    for, so a step is two divisions and two BLAS matvecs, bitwise equal
+    to the public maps.  Call it under ``np.errstate(over="ignore")``.
+    """
+    P = kernel_matrix(problem)
+    PT = P.T
+    mu = problem.mu.weights
+    nu = problem.nu.weights
+
+    def step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ps = finite_matvec(PT, finite_scaled_inverse(mu, u))
+        if not (ps > 0).all():
+            raise NonFiniteIntermediate(_VANISHED_DUAL)
+        return ps, finite_matvec(P, finite_scaled_inverse(nu, ps))
+
+    return step
+
+
+@np.errstate(over="ignore")  # for finite_matvec
 def psi(problem: DiscreteProblem, u: np.ndarray) -> np.ndarray:
     """Dual potential over the y grid: psi_j = sum_i P[i,j] mu_i / u_i.
 
@@ -131,19 +167,22 @@ def psi(problem: DiscreteProblem, u: np.ndarray) -> np.ndarray:
     if u.shape != (problem.n_x,):
         raise ValueError(f"potential has shape {u.shape}, expected ({problem.n_x},)")
     P = kernel_matrix(problem)
-    out = ext_matvec(P.T, scaled_inverse(problem.mu.weights, u))
+    if _finite_positive(u):
+        out = finite_matvec(P.T, finite_scaled_inverse(problem.mu.weights, u))
+    else:
+        out = ext_matvec(P.T, scaled_inverse(problem.mu.weights, u))
     if np.isfinite(u).all() and not (out > 0).all():
-        raise NonFiniteIntermediate(
-            "dual of a finite potential vanished somewhere; is the problem reduced?"
-        )
+        raise NonFiniteIntermediate(_VANISHED_DUAL)
     return out
 
 
+@np.errstate(over="ignore")  # for finite_matvec
 def phi(problem: DiscreteProblem, u: np.ndarray, psi_u: np.ndarray | None = None) -> np.ndarray:
     """Return map over the x grid: phi_i = sum_j P[i,j] nu_j / psi_j."""
-    if psi_u is None:
-        psi_u = psi(problem, u)
+    psi_u = psi(problem, u) if psi_u is None else as_ext_array(psi_u)
     P = kernel_matrix(problem)
+    if _finite_positive(psi_u):
+        return finite_matvec(P, finite_scaled_inverse(problem.nu.weights, psi_u))
     return ext_matvec(P, scaled_inverse(problem.nu.weights, psi_u))
 
 
@@ -225,6 +264,7 @@ def _check_positive_finite(vec: np.ndarray, name: str) -> np.ndarray:
     return vec
 
 
+@np.errstate(over="ignore")  # for _dual_step
 def solve_fortet(
     problem: DiscreteProblem,
     U: np.ndarray | None = None,
@@ -262,8 +302,8 @@ def solve_fortet(
     status = STATUS_MAX_ITER
     rel = INF
 
-    ps = psi(problem, u)
-    ph = phi(problem, u, psi_u=ps)
+    step = _dual_step(problem)
+    ps, ph = step(u)
     while True:
         min_phi = float(np.min(ph))
         if early_exit is None and (ph <= U).all():
@@ -279,7 +319,7 @@ def solve_fortet(
 
         u_next = _clamp_step(ph, U, n + 1)
         if not (u_next <= u).all():
-            raise RuntimeError("monotone decrease of the truncated scheme violated")
+            raise MonotonicityViolated("monotone decrease of the truncated scheme violated")
         rel = float(np.max(np.abs(u_next - u) / u))
         if trace:
             records.append(
@@ -294,8 +334,8 @@ def solve_fortet(
             )
         u = u_next
         n += 1
-        ps = psi(problem, u)
-        ph = phi(problem, u, psi_u=ps)
+        # every iterate lies in [U/n, U]: finite and strictly positive
+        ps, ph = step(u)
         if rel <= tol:
             residual = float(np.max(np.abs(u - np.minimum(ph, U))))
             if residual <= tol * sup_U:

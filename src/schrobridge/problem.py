@@ -289,11 +289,6 @@ def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
     return problem._matrix
 
 
-def is_positive(problem: DiscreteProblem) -> bool:
-    """True when every kernel entry on the grid is strictly positive."""
-    return bool((kernel_matrix(problem) > 0).all())
-
-
 def validate_reduction(problem: DiscreteProblem) -> DiscreteProblem:
     """Apply the support reduction and verify mutual reachability.
 

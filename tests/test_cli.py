@@ -194,3 +194,68 @@ def test_report_renders_table(tmp_path, two_by_two_file, capsys):
     captured = capsys.readouterr().out
     assert "status" in captured
     assert "converged-positive" in captured
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        {"a": np.array([0.1, -2.5, 1e-300, 3.0]), "b": {"c": np.arange(6.0).reshape(2, 3)}},
+        {"empty": np.array([]), "empty2d": np.zeros((2, 0)), "scalar": np.float64(0.25),
+         "count": np.int64(7), "zero_d": np.array(1.5), "none": None, "flag": True},
+        {"inf": np.array([1.0, np.inf]), "nan": np.array([[np.nan, 2.0], [3.0, 4.0]]),
+         "x": float("inf"), "y": float("nan"), "s": "text"},
+        {"nested": {"deep": {"rows": [{"n": 1, "v": 0.5}, {"n": 2, "v": np.float64(-0.0)}],
+                             "arr": np.array([[1.0], [2.0]], dtype=np.float32)},
+                    "list": [np.array([1.0, 2.0]), (3, 4.5)], "empty": {}}},
+    ],
+)
+def test_report_writer_matches_json_dumps(payload):
+    from schrobridge.cli import _dumps, _jsonable
+
+    assert _dumps(payload) == json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+
+
+def test_check_csv_bundle_input(tmp_path):
+    problem = build_dense_problem(np.ones((3, 3)), [1 / 3] * 3, [1 / 3] * 3)
+    bundle = tmp_path / "bundle"
+    save_problem(problem, str(bundle), format="csv-bundle")
+    out = tmp_path / "r.json"
+    code = main(["check", "--input", str(bundle), "--format", "csv-bundle",
+                 "--output", str(out)])
+    assert code == 0
+    assert read(out)["mode"] == "discrete"
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_solve_sinkhorn_on_structural_zero_exit_two(tmp_path, capsys):
+    problem = build_dense_problem([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.5, 0.5])
+    path = tmp_path / "p.json"
+    save_problem(problem, str(path))
+    code = main(["solve", "--input", str(path), "--scheme", "sinkhorn",
+                 "--output", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "strictly positive" in _one_error_line(capsys)
+
+
+def test_solve_dichotomy_violation_exit_two(tmp_path, capsys):
+    problem = build_dense_problem([[5e-324, 5e-324], [1e10, 1e10]], [0.5, 0.5], [0.5, 0.5])
+    path = tmp_path / "p.json"
+    save_problem(problem, str(path))
+    code = main(["solve", "--input", str(path), "--output", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "dichotomy" in _one_error_line(capsys)
+
+
+def test_solve_monotonicity_violation_exit_two(tmp_path, two_by_two_file, capsys, monkeypatch):
+    from schrobridge import fortet
+
+    monkeypatch.setattr(fortet, "_clamp_step", lambda phi_u, ceiling, n_next: 2.0 * ceiling)
+    code = main(["solve", "--input", two_by_two_file, "--output", str(tmp_path / "s.json")])
+    assert code == 2
+    assert "monotone" in _one_error_line(capsys)

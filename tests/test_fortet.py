@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schrobridge import (
     DegeneratePotential,
@@ -26,7 +27,9 @@ from schrobridge import (
     untwist_solution,
     validate_reduction,
 )
-from schrobridge.fortet import potential_from_solution
+from schrobridge import fortet
+from schrobridge.extnum import ExtOverflowError, ext_matvec, scaled_inverse
+from schrobridge.fortet import MonotonicityViolated, _dual_step, potential_from_solution
 from conftest import build_dense_problem, random_positive_problem
 
 
@@ -473,3 +476,108 @@ def test_potential_from_solution_roundtrip(two_by_two):
     sol = extract_solution(two_by_two, result.u_star, psi_star=result.psi_star)
     u = potential_from_solution(two_by_two, sol)
     assert np.max(np.abs(u / u[0] - result.u_star / result.u_star[0])) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the solvers' plain-BLAS dual step against the [0, inf]-aware maps
+# ---------------------------------------------------------------------------
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_x=st.integers(1, 9),
+    n_y=st.integers(1, 9),
+    zero_share=st.sampled_from([0.0, 0.3, 0.6]),
+)
+@settings(max_examples=60, deadline=None)
+def test_dual_step_bitwise_equals_extnum_path(seed, n_x, n_y, zero_share):
+    rng = np.random.default_rng(seed)
+    P = np.exp(rng.uniform(-30.0, 30.0, (n_x, n_y))) * (rng.uniform(size=(n_x, n_y)) >= zero_share)
+    # one positive entry in every row and column, so the reduction holds
+    P[np.arange(n_x), np.arange(n_x) % n_y] += 1.0
+    P[np.arange(n_y) % n_x, np.arange(n_y)] += 1.0
+    mu = rng.uniform(0.01, 1.0, n_x)
+    nu = rng.uniform(0.01, 1.0, n_y)
+    problem = validate_reduction(build_dense_problem(P, mu / mu.sum(), nu / nu.sum()))
+    u = np.exp(rng.uniform(-20.0, 20.0, n_x))
+
+    Pm = kernel_matrix(problem)
+    ps_ext = ext_matvec(Pm.T, scaled_inverse(problem.mu.weights, u))
+    ph_ext = ext_matvec(Pm, scaled_inverse(problem.nu.weights, ps_ext))
+    ps, ph = _dual_step(problem)(u)
+    assert np.array_equal(ps, ps_ext)
+    assert np.array_equal(ph, ph_ext)
+    assert np.array_equal(psi(problem, u), ps_ext)
+    assert np.array_equal(phi(problem, u), ph_ext)
+
+
+def _count_ext_matvec(monkeypatch):
+    calls = []
+
+    def counted(matrix, w):
+        calls.append(1)
+        return ext_matvec(matrix, w)
+
+    monkeypatch.setattr(fortet, "ext_matvec", counted)
+    return calls
+
+
+def test_solve_untruncated_finite_start_skips_extnum_path(two_by_two, monkeypatch):
+    calls = _count_ext_matvec(monkeypatch)
+    assert solve_untruncated(two_by_two, u1=np.array([0.5, 2.0])).status == STATUS_CONVERGED
+    assert calls == []
+
+
+def test_solve_untruncated_zero_or_inf_start_takes_extnum_path(two_by_two, monkeypatch):
+    calls = _count_ext_matvec(monkeypatch)
+    result = solve_untruncated(two_by_two, u1=np.array([0.0, 1.0]))
+    assert result.status == STATUS_DEGENERATE
+    assert np.isinf(result.psi_star).all()
+    assert calls
+
+    calls.clear()
+    result = solve_untruncated(two_by_two, u1=np.array([INF, INF]), max_iter=5)
+    assert result.status == "max-iter"
+    assert result.iterations == 5
+    assert np.array_equal(result.psi_star, [0.0, 0.0])
+    assert len(calls) == 2 * 6
+
+
+@pytest.mark.parametrize(
+    "P, u1",
+    [
+        ([[1.0]], 1e-301),  # mu / u passes OVERFLOW_LIMIT
+        ([[1e250]], 1e-60),  # the matvec P^T (mu / u) passes OVERFLOW_LIMIT
+    ],
+)
+def test_divergent_plain_iteration_reports_through_overflow_guard(P, u1):
+    problem = build_dense_problem(P, [1.0], [1.0])
+    with pytest.raises(ExtOverflowError), np.errstate(over="ignore"):
+        _dual_step(problem)(np.array([u1]))
+    result = solve_untruncated(problem, u1=np.array([u1]))
+    assert result.status == STATUS_DIVERGENT
+    assert result.residual == INF
+    assert result.psi_star is None
+
+
+def test_solve_fortet_raises_on_vanishing_dual():
+    # a zero column on an unreduced problem: the dual step's psi vanishes
+    problem = build_dense_problem([[1.0, 0.0], [1.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(NonFiniteIntermediate, match="vanished"):
+        solve_fortet(problem)
+
+
+def test_solve_fortet_raises_on_dichotomy_violation():
+    # a strictly positive kernel whose first row underflows phi to exactly 0
+    problem = validate_reduction(
+        build_dense_problem([[5e-324, 5e-324], [1e10, 1e10]], [0.5, 0.5], [0.5, 0.5])
+    )
+    with pytest.raises(NonFiniteIntermediate, match="dichotomy"):
+        solve_fortet(problem)
+
+
+def test_solve_fortet_raises_on_monotonicity_violation(two_by_two, monkeypatch):
+    monkeypatch.setattr(fortet, "_clamp_step", lambda phi_u, ceiling, n_next: 2.0 * ceiling)
+    with pytest.raises(MonotonicityViolated) as info:
+        solve_fortet(two_by_two)
+    assert isinstance(info.value, RuntimeError)
