@@ -76,7 +76,6 @@ from .gaussian import (
     GridTooLarge,
     MatrixCriterionResult,
     NotSPD,
-    TwistMatrixParams,
     discretize_gaussian,
     gauss_convolve_precision,
     gauss_density,

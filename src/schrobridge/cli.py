@@ -9,15 +9,18 @@ Subcommands::
     report        render a JSON report as a table on stdout
 
 Exit codes: 0 success / criterion certified / gap within tolerance;
-1 parse or validation failure; 2 degenerate or failed solve, including
-a solver error (a vanishing or non-finite dual, a violated monotone
-decrease, or a Sinkhorn run refused on a kernel with a zero entry),
-reported as one ``error:`` line on stderr; 3 iteration budget exhausted;
-4 no checked criterion holds; 5 compare gap above tolerance.
+1 parse or validation failure, including a ``--tol`` below 4 eps
+(``fortet.MIN_TOL``); 2 degenerate, divergent or failed solve: a
+divergent run (a step past the overflow guard, under either scheme) is
+written as a report with status "divergent", and a solver error (a
+vanishing or non-finite dual, a violated monotone decrease, or a
+Sinkhorn run refused on a kernel with a zero entry) as one ``error:``
+line on stderr; 3 iteration budget exhausted; 4 no checked criterion
+holds; 5 compare gap above tolerance.
 
-Reports are JSON with sorted keys (byte-identical for identical inputs
-and seed); infinities are serialized as the string "inf".  Traces are
-CSV with header ``n,min_u,max_u,residual,min_phi,normalization``.
+Reports are JSON with sorted keys (byte-identical for identical inputs);
+infinities are serialized as the string "inf".  Traces are CSV with
+header ``n,min_u,max_u,residual,min_phi,normalization``.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ class RunConfig:
     scheme: str = "truncated"
     U: str = "ones"
     trace: bool = False
-    seed: int = 0
     gap_tol: float = 1e-8
     finite_guard: float = crit.DIVERGENCE_GUARD
     points_per_dim: int | None = None
@@ -76,8 +78,8 @@ class RunConfig:
     input_format: str = "json"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValidationError("tol must be positive")
+        if self.tol < ft.MIN_TOL:
+            raise ValidationError(f"tol must be at least {ft.MIN_TOL:.3g}")
         if self.max_iter < 1:
             raise ValidationError("max-iter must be at least 1")
 
@@ -166,7 +168,7 @@ def _load_ceiling(config: RunConfig, problem: DiscreteProblem) -> np.ndarray:
 
 def cmd_solve(config: RunConfig) -> int:
     problem = _load_validated(config)
-    payload: dict = {"command": "solve", "scheme": config.scheme, "seed": config.seed}
+    payload: dict = {"command": "solve", "scheme": config.scheme}
 
     if config.scheme == "sinkhorn":
         try:
@@ -276,7 +278,6 @@ def cmd_check(config: RunConfig) -> int:
         payload = {
             "command": "check",
             "mode": "gaussian",
-            "seed": config.seed,
             "matrix_criterion": {
                 "xy_holds": mc.xy_holds,
                 "yx_holds": mc.yx_holds,
@@ -312,7 +313,6 @@ def cmd_check(config: RunConfig) -> int:
     payload = {
         "command": "check",
         "mode": "discrete",
-        "seed": config.seed,
         "positivity": report.positivity,
         "boundedness": report.boundedness,
         "sup_kernel": report.sup_kernel,
@@ -395,7 +395,6 @@ def cmd_compare(config: RunConfig) -> int:
     failed = result.status != ft.STATUS_CONVERGED
     payload: dict = {
         "command": "compare",
-        "seed": config.seed,
         "fortet_status": result.status,
         "fortet_iterations": result.iterations,
     }
@@ -472,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--input", required=True, dest="input_path")
         p.add_argument("--output", dest="output_path")
-        p.add_argument("--seed", type=int, default=0)
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     common(p_solve)

@@ -188,21 +188,3 @@ def finite_matvec(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
     if np.max(out, initial=0.0) > OVERFLOW_LIMIT:
         raise ExtOverflowError("extended matvec overflowed")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Textual serialization: INF travels as the literal string "inf".
-# ---------------------------------------------------------------------------
-
-
-def ext_to_jsonable(x: float):
-    """Render a single extended real for JSON output ('inf' for INF)."""
-    x = ensure_ext(x)
-    return "inf" if math.isinf(x) else x
-
-
-def ext_from_jsonable(obj) -> float:
-    """Parse a value produced by :func:`ext_to_jsonable`."""
-    if obj == "inf":
-        return INF
-    return ensure_ext(float(obj))

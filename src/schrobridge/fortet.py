@@ -6,15 +6,18 @@ the y grid is ``psi(u)_j = sum_i P[i,j] mu_i / u_i`` and the return map is
 ``phi`` solve the system, and the coupling is recovered from
 ``a = mu/u``, ``b = nu/psi(u)``, ``pi = a P b``.
 
-Two iteration schemes are provided: the truncated scheme
+Two iteration schemes ``u_{n+1} = clamp_n(phi(u_n))`` run on one loop: the
+truncated scheme
 
     u_{n+1} = max(U/(n+1), min(phi(u_n), U)),   u_1 = U,
 
 which decreases monotonically, stays within [U/n, U], and keeps every
-iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``,
-which is the classical potential form of Sinkhorn / iterative
-proportional fitting.  A log-domain Sinkhorn solver is included as an
-independent baseline, plus the kernel twisting transform
+iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
+(the identity clamp), the classical potential form of Sinkhorn /
+iterative proportional fitting.  Either ends converged-positive,
+degenerate-zero, max-iter, or divergent (a step past the overflow guard),
+and rejects ``tol`` below ``MIN_TOL``.  A log-domain Sinkhorn solver is
+included as an independent baseline, plus the kernel twisting transform
 ``p -> alpha(x) beta(y) p`` under which the coupling is invariant.
 
 All maps are pure with respect to the problem; sums inside a map may be
@@ -33,6 +36,7 @@ from scipy.special import logsumexp
 from .extnum import (
     ExtOverflowError,
     INF,
+    OVERFLOW_LIMIT,
     as_ext_array,
     ext_matvec,
     finite_matvec,
@@ -53,6 +57,10 @@ STATUS_DIVERGENT = "divergent"
 #: as collapse to the trivial zero fixed point.
 DEGENERATE_CUTOFF = 1e-13
 
+#: the smallest ``tol`` the solvers accept: 4 eps.  Below a few eps the
+#: stopping test can sit under the rounding noise of one step and never pass.
+MIN_TOL = 4 * float(np.finfo(float).eps)
+
 
 class NonFiniteIntermediate(RuntimeError):
     """An operation that requires finite duals met an infinite one."""
@@ -67,11 +75,10 @@ class DegeneratePotential(ValueError):
 
 
 class MaxIterExceeded(RuntimeError):
-    """An iteration budget ran out; carries the trace collected so far."""
+    """An iteration budget ran out."""
 
-    def __init__(self, message: str, trace=None, iterations: int = 0):
+    def __init__(self, message: str, iterations: int = 0):
         super().__init__(message)
-        self.trace = trace or []
         self.iterations = iterations
 
 
@@ -264,142 +271,49 @@ def _check_positive_finite(vec: np.ndarray, name: str) -> np.ndarray:
     return vec
 
 
+def _check_budget(tol: float, max_iter: int) -> None:
+    if tol < MIN_TOL or max_iter < 1:
+        raise ValueError(f"tol must be at least {MIN_TOL:.3g} and max_iter at least 1")
+
+
 @np.errstate(over="ignore")  # for _dual_step
-def solve_fortet(
-    problem: DiscreteProblem,
-    U: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    degenerate_cutoff: float = DEGENERATE_CUTOFF,
-    trace: bool = False,
-) -> FixedPointResult:
-    """Run the truncated scheme from u_1 = U until the iterate settles.
+def _iterate(problem, u, tol, max_iter, trace, *, step, advance, target, scale,
+             degenerate_below, ceiling=None, check_dichotomy=False) -> FixedPointResult:
+    """The loop of both schemes, ``u_{n+1} = advance(phi(u_n))`` from ``u_1 = u``.
 
-    Stops when the sup relative change of u drops to ``tol`` *and* the
-    fixed-point residual ``||u - min(phi(u), U)||_inf`` is at most
-    ``tol * ||U||_inf``; the returned status is then converged-positive.
-    Collapse of phi toward zero (below ``degenerate_cutoff * min U``
-    while still decreasing) reports degenerate-zero, and an exhausted
-    budget reports max-iter.  The default ceiling is the all-ones vector.
+    ``step(u)`` is ``(psi(u), phi(u))``; ``advance(phi_u, u, n + 1)`` is
+    ``u_{n+1}`` and its sup relative change from ``u``.  The run converges
+    once that change is at most ``tol`` and ``max |u - target(phi(u))|`` at
+    most ``tol * scale(u)``; it is degenerate-zero once min phi falls below
+    ``degenerate_below`` while still decreasing, and divergent once a step
+    passes the overflow guard or the iterate lies above it.  The early-exit
+    index is the first n with ``phi(u_n) <= ceiling``.  With
+    ``check_dichotomy``, a phi that vanishes at some points but not all
+    raises.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
-    if U is None:
-        U = np.ones(problem.n_x)
-    U = _check_positive_finite(U, "ceiling U")
-    if U.shape != (problem.n_x,):
-        raise ValueError("ceiling U must have one entry per x point")
-
-    kernel_positive = bool((kernel_matrix(problem) > 0).all())
-    sup_U = float(np.max(U))
-    min_U = float(np.min(U))
-
-    u = U.copy()
-    n = 1
+    records: list[TraceRecord] = []
     early_exit: int | None = None
-    records: list[TraceRecord] = []
     prev_min_phi = INF
-    status = STATUS_MAX_ITER
-    rel = INF
-
-    step = _dual_step(problem)
-    ps, ph = step(u)
-    while True:
-        min_phi = float(np.min(ph))
-        if early_exit is None and (ph <= U).all():
-            early_exit = n
-        if min_phi == 0.0 and kernel_positive and float(np.max(ph)) != 0.0:
-            raise NonFiniteIntermediate(
-                "dichotomy violated: phi vanished at some points but not all"
-            )
-        if min_phi < degenerate_cutoff * min_U and min_phi < prev_min_phi:
-            status = STATUS_DEGENERATE
-            break
-        prev_min_phi = min_phi
-
-        u_next = _clamp_step(ph, U, n + 1)
-        if not (u_next <= u).all():
-            raise MonotonicityViolated("monotone decrease of the truncated scheme violated")
-        rel = float(np.max(np.abs(u_next - u) / u))
-        if trace:
-            records.append(
-                TraceRecord(
-                    n=n,
-                    min_u=float(np.min(u)),
-                    max_u=float(np.max(u)),
-                    residual=rel,
-                    min_phi=min_phi,
-                    normalization=float(np.dot(problem.mu.weights, ph / u)),
-                )
-            )
-        u = u_next
-        n += 1
-        # every iterate lies in [U/n, U]: finite and strictly positive
-        ps, ph = step(u)
-        if rel <= tol:
-            residual = float(np.max(np.abs(u - np.minimum(ph, U))))
-            if residual <= tol * sup_U:
-                status = STATUS_CONVERGED
-                break
-        if n > max_iter:
-            break
-
-    residual = float(np.max(np.abs(u - np.minimum(ph, U))))
-    return FixedPointResult(
-        u_star=u,
-        iterations=n - 1,
-        residual=residual,
-        trace=records,
-        status=status,
-        early_exit_index=early_exit,
-        psi_star=ps,
-    )
-
-
-def solve_untruncated(
-    problem: DiscreteProblem,
-    u1: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    degenerate_cutoff: float = DEGENERATE_CUTOFF,
-    trace: bool = False,
-) -> FixedPointResult:
-    """Plain iteration u_{n+1} = phi(u_n) from u_1 (default all ones).
-
-    Without the positivity floor the iteration may collapse to the zero
-    fixed point (status degenerate-zero) or blow up past the overflow
-    guard (status divergent).
-    """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
-    if u1 is None:
-        u1 = np.ones(problem.n_x)
-    u = as_ext_array(u1).copy()
-    if u.shape != (problem.n_x,):
-        raise ValueError("u1 must have one entry per x point")
-    scale = float(np.max(u))
-    records: list[TraceRecord] = []
     status = STATUS_MAX_ITER
     n = 1
-    rel = INF
-
-    prev_min_phi = INF
     try:
-        ps = psi(problem, u)
-        ph = phi(problem, u, psi_u=ps)
+        ps, ph = step(u)
         while True:
             min_phi = float(np.min(ph))
-            max_phi = float(np.max(ph))
-            if max_phi == 0.0 or (
-                min_phi < degenerate_cutoff * max(scale, 1e-300) and min_phi < prev_min_phi
-            ):
+            if early_exit is None and ceiling is not None and (ph <= ceiling).all():
+                early_exit = n
+            if min_phi == 0.0 and check_dichotomy and float(np.max(ph)) != 0.0:
+                raise NonFiniteIntermediate(
+                    "dichotomy violated: phi vanished at some points but not all"
+                )
+            if min_phi < degenerate_below and min_phi < prev_min_phi:
                 status = STATUS_DEGENERATE
                 break
             prev_min_phi = min_phi
-            pos = u > 0
-            rel = float(np.max(np.abs(ph[pos] - u[pos]) / u[pos])) if pos.any() else INF
+
+            u_next, rel = advance(ph, u, n + 1)
             if trace:
-                well_scaled = pos.all() and np.isfinite(ph).all()
+                well_scaled = (u > 0).all() and np.isfinite(ph).all()
                 records.append(
                     TraceRecord(
                         n=n,
@@ -412,34 +326,100 @@ def solve_untruncated(
                         else float("nan"),
                     )
                 )
-            u = ph
+            u = u_next
             n += 1
-            ps = psi(problem, u)
-            ph = phi(problem, u, psi_u=ps)
-            if rel <= tol:
-                residual = float(np.max(np.abs(u - ph)))
-                if residual <= tol * float(np.max(u)):
-                    status = STATUS_CONVERGED
-                    break
+            ps, ph = step(u)
+            if rel <= tol and float(np.max(np.abs(u - target(ph)))) <= tol * scale(u):
+                status = STATUS_CONVERGED
+                break
             if n > max_iter:
                 break
-        residual = float(np.max(np.abs(u - ph)))
+        residual = float(np.max(np.abs(u - target(ph))))
     except ExtOverflowError:
         status = STATUS_DIVERGENT
         residual = INF
         ps = None
-    if np.isfinite(u).all() and float(np.max(u)) > 1e300:
+    if np.isfinite(u).all() and float(np.max(u)) > OVERFLOW_LIMIT:
         status = STATUS_DIVERGENT
 
-    return FixedPointResult(
-        u_star=u,
-        iterations=n - 1,
-        residual=residual,
-        trace=records,
-        status=status,
-        early_exit_index=None,
-        psi_star=ps,
-    )
+    return FixedPointResult(u_star=u, iterations=n - 1, residual=residual, trace=records,
+                            status=status, early_exit_index=early_exit, psi_star=ps)
+
+
+def solve_fortet(
+    problem: DiscreteProblem,
+    U: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+    trace: bool = False,
+) -> FixedPointResult:
+    """Run the truncated scheme from u_1 = U until the iterate settles.
+
+    Stops when the sup relative change of u drops to ``tol`` *and* the
+    fixed-point residual ``||u - min(phi(u), U)||_inf`` is at most
+    ``tol * ||U||_inf``; the returned status is then converged-positive.
+    Collapse of phi toward zero (below ``DEGENERATE_CUTOFF * min U``
+    while still decreasing) reports degenerate-zero, a step past the
+    overflow guard reports divergent, and an exhausted budget reports
+    max-iter.  The default ceiling is the all-ones vector; ``tol`` must be
+    at least ``MIN_TOL``.
+    """
+    _check_budget(tol, max_iter)
+    if U is None:
+        U = np.ones(problem.n_x)
+    U = _check_positive_finite(U, "ceiling U")
+    if U.shape != (problem.n_x,):
+        raise ValueError("ceiling U must have one entry per x point")
+    sup_U = float(np.max(U))
+
+    def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
+        u_next = _clamp_step(phi_u, U, n_next)
+        if not (u_next <= u).all():
+            raise MonotonicityViolated("monotone decrease of the truncated scheme violated")
+        # every iterate lies in [U/n, U]: finite and strictly positive; and
+        # u - u_next is |u_next - u| bit for bit, as it is nonnegative
+        return u_next, float(np.max((u - u_next) / u))
+
+    return _iterate(problem, U.copy(), tol, max_iter, trace, step=_dual_step(problem),
+                    advance=advance, target=lambda phi_u: np.minimum(phi_u, U),
+                    scale=lambda u: sup_U,
+                    degenerate_below=DEGENERATE_CUTOFF * float(np.min(U)), ceiling=U,
+                    check_dichotomy=bool((kernel_matrix(problem) > 0).all()))
+
+
+def solve_untruncated(
+    problem: DiscreteProblem,
+    u1: np.ndarray | None = None,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+    trace: bool = False,
+) -> FixedPointResult:
+    """Plain iteration u_{n+1} = phi(u_n) from u_1 (default all ones).
+
+    Without the positivity floor the iteration may collapse to the zero
+    fixed point (status degenerate-zero) or blow up past the overflow
+    guard (status divergent).  ``u1`` may hold zeros and infinities;
+    ``tol`` must be at least ``MIN_TOL``.
+    """
+    _check_budget(tol, max_iter)
+    if u1 is None:
+        u1 = np.ones(problem.n_x)
+    u = as_ext_array(u1).copy()
+    if u.shape != (problem.n_x,):
+        raise ValueError("u1 must have one entry per x point")
+
+    def step(u: np.ndarray):
+        ps = psi(problem, u)
+        return ps, phi(problem, u, psi_u=ps)
+
+    def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
+        pos = u > 0
+        rel = float(np.max(np.abs(phi_u[pos] - u[pos]) / u[pos])) if pos.any() else INF
+        return phi_u, rel
+
+    return _iterate(problem, u, tol, max_iter, trace, step=step, advance=advance,
+                    target=lambda phi_u: phi_u, scale=lambda u: float(np.max(u)),
+                    degenerate_below=DEGENERATE_CUTOFF * max(float(np.max(u)), 1e-300))
 
 
 # ---------------------------------------------------------------------------

@@ -96,24 +96,6 @@ class GaussianProblem:
         return float(self.a[0, 0]), float(self.b[0, 0]), float(self.c[0, 0])
 
 
-@dataclass(frozen=True)
-class TwistMatrixParams:
-    """Exponent matrix d (unsigned symmetric) and power r >= 1 for the
-    exponential-quadratic ceiling family."""
-
-    d: np.ndarray
-    r: float = 1.0
-
-    def __post_init__(self):
-        d = np.atleast_2d(np.asarray(self.d, dtype=float))
-        scale = max(1.0, float(np.abs(d).max()))
-        if np.abs(d - d.T).max() > SYMMETRY_TOL * scale:
-            raise ValueError("twist exponent d must be symmetric")
-        if self.r < 1.0:
-            raise ValueError("r must be at least 1")
-        object.__setattr__(self, "d", (d + d.T) / 2.0)
-
-
 def gauss_density(kappa, z) -> float:
     """Centered Gaussian density with precision kappa evaluated at z.
 

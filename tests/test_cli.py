@@ -259,3 +259,23 @@ def test_solve_monotonicity_violation_exit_two(tmp_path, two_by_two_file, capsys
     code = main(["solve", "--input", two_by_two_file, "--output", str(tmp_path / "s.json")])
     assert code == 2
     assert "monotone" in _one_error_line(capsys)
+
+
+def test_overflowing_ceiling_reports_divergent_exit_two(tmp_path, two_by_two_file):
+    # mu / U passes the overflow guard on the first step
+    upath = tmp_path / "U.json"
+    upath.write_text("[1e-301, 1e-301]")
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--input", two_by_two_file, "--U", str(upath), "--output", str(out)])
+    assert code == 2
+    assert read(out)["status"] == "divergent"
+    code = main(["compare", "--input", two_by_two_file, "--U", str(upath), "--output", str(out)])
+    assert code == 2
+    assert read(out)["fortet_status"] == "divergent"
+
+
+def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, capsys):
+    code = main(["solve", "--input", two_by_two_file, "--tol", "1e-16",
+                 "--output", str(tmp_path / "s.json")])
+    assert code == 1
+    assert "tol must be at least" in _one_error_line(capsys)

@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from schrobridge import extnum
 from schrobridge.extnum import (
     INF,
     ExtOverflowError,
@@ -134,11 +131,3 @@ def test_ext_matvec_overflow_guard():
     M = np.array([[1e200]])
     with pytest.raises(ExtOverflowError):
         ext_matvec(M, np.array([1e200]))
-
-
-def test_json_serialization_roundtrip():
-    assert extnum.ext_to_jsonable(INF) == "inf"
-    assert extnum.ext_to_jsonable(1.5) == 1.5
-    assert extnum.ext_from_jsonable("inf") == INF
-    assert extnum.ext_from_jsonable(2.0) == 2.0
-    assert math.isinf(extnum.ext_from_jsonable(extnum.ext_to_jsonable(INF)))

@@ -29,7 +29,7 @@ from schrobridge import (
 )
 from schrobridge import fortet
 from schrobridge.extnum import ExtOverflowError, ext_matvec, scaled_inverse
-from schrobridge.fortet import MonotonicityViolated, _dual_step, potential_from_solution
+from schrobridge.fortet import MIN_TOL, MonotonicityViolated, _dual_step, potential_from_solution
 from conftest import build_dense_problem, random_positive_problem
 
 
@@ -258,6 +258,49 @@ def test_solve_fortet_trace_records(two_by_two):
 def test_solve_fortet_max_iter(two_by_two):
     result = solve_fortet(two_by_two, max_iter=2, tol=1e-15)
     assert result.status == "max-iter"
+
+
+def test_solvers_reject_tol_below_machine_precision(two_by_two):
+    # below a few eps the stopping test can sit under rounding noise
+    assert MIN_TOL == 4 * np.finfo(float).eps
+    for solve in (solve_fortet, solve_untruncated):
+        with pytest.raises(ValueError, match="tol must be at least"):
+            solve(two_by_two, tol=1e-16)
+        assert solve(two_by_two, tol=MIN_TOL, max_iter=3).iterations == 3
+
+
+@pytest.mark.parametrize("size", [2, 10])
+def test_solvers_agree_with_chained_single_steps(two_by_two, size):
+    # the solvers' loop against the public single-step API, step for step;
+    # the wide random ceiling makes the floor U/n bind
+    if size == 2:
+        problem, U = two_by_two, np.ones(2)
+    else:
+        rng = np.random.default_rng(29)
+        problem = random_positive_problem(rng, size, size)
+        U = np.exp(rng.uniform(-3.0, 3.0, size))
+    k = 25
+    result = solve_fortet(problem, U=U, tol=MIN_TOL, max_iter=k, trace=True)
+    assert result.status == "max-iter"
+    state = SchemeState(n=1, u=U.copy(), ceiling=U)
+    for rec in result.trace:
+        assert rec.n == state.n
+        assert rec.min_u == np.min(state.u) and rec.max_u == np.max(state.u)
+        state = iterate_truncated(state, problem)
+    assert len(result.trace) == k
+    assert np.array_equal(result.u_star, state.u)
+    assert result.early_exit_index == state.early_exit_index
+
+    # the all-INF start stays on the [0, inf]-aware maps; a start with a
+    # zero, or with some but not all entries INF, ends degenerate-zero at
+    # the first step, where phi vanishes or the cutoff reference is INF
+    k = 5
+    for u in (np.linspace(0.5, 2.0, problem.n_x), np.full(problem.n_x, INF)):
+        plain = solve_untruncated(problem, u1=u, tol=MIN_TOL, max_iter=k)
+        assert plain.status == "max-iter"
+        for _ in range(k):
+            u = phi(problem, u)
+        assert np.array_equal(plain.u_star, u)
 
 
 def test_solve_fortet_degenerate_cutoff_rule():
@@ -554,10 +597,13 @@ def test_divergent_plain_iteration_reports_through_overflow_guard(P, u1):
     problem = build_dense_problem(P, [1.0], [1.0])
     with pytest.raises(ExtOverflowError), np.errstate(over="ignore"):
         _dual_step(problem)(np.array([u1]))
-    result = solve_untruncated(problem, u1=np.array([u1]))
-    assert result.status == STATUS_DIVERGENT
-    assert result.residual == INF
-    assert result.psi_star is None
+    for result in (
+        solve_untruncated(problem, u1=np.array([u1])),
+        solve_fortet(problem, U=np.array([u1])),
+    ):
+        assert result.status == STATUS_DIVERGENT
+        assert result.residual == INF
+        assert result.psi_star is None
 
 
 def test_solve_fortet_raises_on_vanishing_dual():

@@ -9,7 +9,6 @@ from schrobridge import (
     GaussianProblem,
     GridTooLarge,
     NotSPD,
-    TwistMatrixParams,
     discretize_gaussian,
     gauss_convolve_precision,
     gauss_density,
@@ -159,14 +158,6 @@ def test_pr_requires_scalar():
     gp = GaussianProblem(a=np.eye(2), b=np.eye(2), c=np.eye(2))
     with pytest.raises(DimensionMismatch):
         ceiling_quadratic(gp, 0.0, 1.0)
-
-
-def test_twist_params_validation():
-    TwistMatrixParams(d=np.array([[0.0, 1.0], [1.0, 0.0]]), r=2.0)
-    with pytest.raises(ValueError):
-        TwistMatrixParams(d=np.array([[0.0, 1.0], [0.5, 0.0]]))
-    with pytest.raises(ValueError):
-        TwistMatrixParams(d=np.zeros((1, 1)), r=0.5)
 
 
 def test_discretize_scalar_grid():
