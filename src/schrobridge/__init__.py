@@ -8,14 +8,7 @@ existence criteria, and closed-form Gaussian calculus for oracles and
 benchmark generation.
 """
 
-from .extnum import (
-    INF,
-    OVERFLOW_LIMIT,
-    ExtOverflowError,
-    inv_ext,
-    mul_ext,
-    sum_ext,
-)
+from .extnum import INF, OVERFLOW_LIMIT, ExtOverflowError
 from .problem import (
     DenseKernel,
     DiscreteProblem,

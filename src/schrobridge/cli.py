@@ -10,11 +10,15 @@ Subcommands::
 
 Exit codes: 0 success / criterion certified / gap within tolerance;
 1 parse or validation failure, including a ``--tol`` below 4 eps
-(``fortet.MIN_TOL``); 2 degenerate, divergent or failed solve: a
+(``fortet.MIN_TOL``), a ``--U`` or ``--moment-U`` file that is not a
+list of one finite, strictly positive number per x point, a
+``--domination-witness`` without the keys K, x and c, and a
+``--moment-r`` not above 1; 2 degenerate, divergent or failed solve: a
 divergent run (a step past the overflow guard, under either scheme) is
 written as a report with status "divergent", and a solver error (a
-vanishing or non-finite dual, a violated monotone decrease, or a
-Sinkhorn run refused on a kernel with a zero entry) as one ``error:``
+vanishing or non-finite dual, a violated monotone decrease, a Sinkhorn
+run refused on a kernel with a zero entry, or a ``check --moment-U``
+ceiling small enough to pass the overflow guard) as one ``error:``
 line on stderr; 3 iteration budget exhausted; 4 no checked criterion
 holds; 5 compare gap above tolerance.
 
@@ -37,6 +41,7 @@ import numpy as np
 from . import criteria as crit
 from . import fortet as ft
 from . import gaussian as gs
+from .extnum import ExtOverflowError
 from .problem import (
     DiscreteProblem,
     ParseError,
@@ -82,6 +87,8 @@ class RunConfig:
             raise ValidationError(f"tol must be at least {ft.MIN_TOL:.3g}")
         if self.max_iter < 1:
             raise ValidationError("max-iter must be at least 1")
+        if not self.moment_r > 1.0:
+            raise ValidationError("moment-r must exceed 1")
 
 
 def _jsonable(obj):
@@ -156,13 +163,18 @@ def _load_validated(config: RunConfig) -> DiscreteProblem:
     return validate_reduction(problem)
 
 
-def _load_ceiling(config: RunConfig, problem: DiscreteProblem) -> np.ndarray:
-    if config.U == "ones":
-        return np.ones(problem.n_x)
-    with open(config.U, "r", encoding="utf-8") as fh:
-        vec = np.asarray(json.load(fh), dtype=float)
+def _load_ceiling(path: str, problem: DiscreteProblem) -> np.ndarray:
+    """A ceiling from a JSON list: one finite, strictly positive number per x point."""
+    with open(path, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    try:
+        vec = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: a ceiling must be a list of numbers") from exc
     if vec.shape != (problem.n_x,):
-        raise ValidationError("ceiling file length does not match the x grid")
+        raise ValidationError(f"{path}: a ceiling needs one entry per x point ({problem.n_x})")
+    if not (np.isfinite(vec).all() and (vec > 0).all()):
+        raise ValidationError(f"{path}: ceiling entries must be finite and strictly positive")
     return vec
 
 
@@ -188,7 +200,7 @@ def cmd_solve(config: RunConfig) -> int:
     if config.scheme == "truncated":
         result = ft.solve_fortet(
             problem,
-            U=_load_ceiling(config, problem),
+            U=None if config.U == "ones" else _load_ceiling(config.U, problem),
             tol=config.tol,
             max_iter=config.max_iter,
             trace=config.trace,
@@ -298,11 +310,14 @@ def cmd_check(config: RunConfig) -> int:
     if config.domination_witness_path:
         with open(config.domination_witness_path, "r", encoding="utf-8") as fh:
             w = json.load(fh)
+        if not (isinstance(w, dict) and {"K", "x", "c"} <= w.keys()):
+            raise ValidationError(
+                f"{config.domination_witness_path}: a witness needs the keys K, x and c"
+            )
         witness = (w["K"], w["x"], w["c"])
     moment_U = None
     if config.moment_U_path:
-        with open(config.moment_U_path, "r", encoding="utf-8") as fh:
-            moment_U = np.asarray(json.load(fh), dtype=float)
+        moment_U = _load_ceiling(config.moment_U_path, problem)
     report = crit.full_report(
         problem,
         finite_guard=config.finite_guard,
@@ -389,9 +404,8 @@ def _print_criteria_table(payload: dict) -> None:
 
 def cmd_compare(config: RunConfig) -> int:
     problem = _load_validated(config)
-    result = ft.solve_fortet(
-        problem, U=_load_ceiling(config, problem), tol=config.tol, max_iter=config.max_iter
-    )
+    U = None if config.U == "ones" else _load_ceiling(config.U, problem)
+    result = ft.solve_fortet(problem, U=U, tol=config.tol, max_iter=config.max_iter)
     failed = result.status != ft.STATUS_CONVERGED
     payload: dict = {
         "command": "compare",
@@ -539,7 +553,7 @@ def main(argv=None) -> int:
     except (ParseError, SchemaError, ValidationError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (ft.NonFiniteIntermediate, ft.MonotonicityViolated) as exc:
+    except (ft.NonFiniteIntermediate, ft.MonotonicityViolated, ExtOverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DEGENERATE
 

@@ -2,13 +2,17 @@
 
 The solver's dual quantities may genuinely take the value infinity (a
 structural zero in a potential forces an infinite dual entry) or zero.
-This module fixes one set of conventions for that arithmetic and uses it
+This module fixes one set of conventions for that arithmetic, realized
+on arrays by :func:`scaled_inverse` and :func:`ext_matvec`, the maps used
 at every API boundary:
 
-  * ``inv_ext(0) == INF`` and ``inv_ext(INF) == 0``;
+  * the inverse of 0 is INF and the inverse of INF is 0;
   * products ``f * g`` with ``f`` finite obey ``0 * INF == 0`` (the finite
     factor wins);
   * sums are INF as soon as one term is INF.
+
+The ``finite_*`` variants skip the checks on input the caller knows to
+be finite and positive, and keep the overflow guards.
 
 INF is a deliberate, tagged state -- never the by-product of a float
 overflow.  Any *finite* computation whose magnitude would exceed
@@ -20,7 +24,6 @@ infinite".  NaN is never representable; inputs carrying NaN are rejected.
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -33,79 +36,6 @@ OVERFLOW_LIMIT = 1e300
 
 class ExtOverflowError(ArithmeticError):
     """A finite extended-real computation exceeded OVERFLOW_LIMIT."""
-
-
-def ensure_ext(s: float) -> float:
-    """Validate a scalar as an extended nonnegative real and return it.
-
-    Accepts any float in [0, inf].  Raises ValueError on NaN or negative
-    input -- neither is representable in this arithmetic.
-    """
-    s = float(s)
-    if math.isnan(s):
-        raise ValueError("NaN is not an extended nonnegative real")
-    if s < 0.0:
-        raise ValueError(f"negative value {s!r} is not an extended nonnegative real")
-    return s
-
-
-def inv_ext(s: float) -> float:
-    """Extended inversion: 1/s with 0 -> INF and INF -> 0."""
-    s = ensure_ext(s)
-    if s == 0.0:
-        return INF
-    if math.isinf(s):
-        return 0.0
-    r = 1.0 / s
-    if r > OVERFLOW_LIMIT:
-        raise ExtOverflowError(f"1/{s!r} exceeds {OVERFLOW_LIMIT:g}")
-    return r
-
-
-def mul_ext(f: float, g: float) -> float:
-    """Product of a finite nonnegative ``f`` with an extended ``g``.
-
-    Applies the asymmetric convention ``f == 0  =>  f*g == 0`` even when
-    ``g`` is INF.  The first factor must be finite; the symmetric product
-    of two possibly-infinite numbers is deliberately not provided.
-    """
-    f = ensure_ext(f)
-    g = ensure_ext(g)
-    if math.isinf(f):
-        raise ValueError("first factor of mul_ext must be finite")
-    if f == 0.0:
-        return 0.0
-    if math.isinf(g):
-        return INF
-    r = f * g
-    if r > OVERFLOW_LIMIT:
-        raise ExtOverflowError(f"{f!r} * {g!r} exceeds {OVERFLOW_LIMIT:g}")
-    return r
-
-
-def sum_ext(terms: Iterable[float]) -> float:
-    """Sum of extended nonnegative reals; INF absorbs.
-
-    The finite branch uses exactly rounded compensated summation
-    (``math.fsum``), so the result does not depend on term order.
-    """
-    finite: list[float] = []
-    for t in terms:
-        t = ensure_ext(t)
-        if math.isinf(t):
-            return INF
-        finite.append(t)
-    r = math.fsum(finite)
-    if r > OVERFLOW_LIMIT:
-        raise ExtOverflowError(f"sum {r!r} exceeds {OVERFLOW_LIMIT:g}")
-    return r
-
-
-# ---------------------------------------------------------------------------
-# Vectorized counterparts.  These realize the same conventions on numpy
-# arrays.  The ``finite_*`` variants skip the checks on input the caller
-# knows to be finite and positive, and keep the overflow guards.
-# ---------------------------------------------------------------------------
 
 
 def as_ext_array(x, allow_inf: bool = True) -> np.ndarray:
@@ -125,10 +55,11 @@ def as_ext_array(x, allow_inf: bool = True) -> np.ndarray:
 
 
 def scaled_inverse(f: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Elementwise ``f * inv_ext(s)`` for finite nonnegative ``f``.
+    """Elementwise ``f / s`` for finite nonnegative ``f`` and extended ``s``.
 
     This is the weight vector feeding the dual sums: zero where f is zero
-    (even against an infinite inverse), INF where f > 0 and s == 0.
+    (even against an infinite inverse), INF where f > 0 and s == 0, and
+    zero where s is INF.
     """
     f = as_ext_array(f, allow_inf=False)
     s = as_ext_array(s)
@@ -139,7 +70,8 @@ def scaled_inverse(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     out[pos & szero] = INF
     rest = pos & ~szero & ~sinf
     if rest.any():
-        out[rest] = finite_scaled_inverse(f[rest], s[rest])
+        with np.errstate(over="ignore"):
+            out[rest] = finite_scaled_inverse(f[rest], s[rest])
     return out
 
 

@@ -14,8 +14,9 @@ truncated scheme
 which decreases monotonically, stays within [U/n, U], and keeps every
 iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
 (the identity clamp), the classical potential form of Sinkhorn /
-iterative proportional fitting.  Either ends converged-positive,
-degenerate-zero, max-iter, or divergent (a step past the overflow guard),
+iterative proportional fitting.  Either starts from a finite, strictly
+positive vector, checked once at entry; ends converged-positive,
+degenerate-zero, max-iter, or divergent (a step past the overflow guard);
 and rejects ``tol`` below ``MIN_TOL``.  A log-domain Sinkhorn solver is
 included as an independent baseline, plus the kernel twisting transform
 ``p -> alpha(x) beta(y) p`` under which the coupling is invariant.
@@ -42,9 +43,6 @@ from .extnum import (
     finite_matvec,
     finite_scaled_inverse,
     scaled_inverse,
-    sum_ext,
-    mul_ext,
-    inv_ext,
 )
 from .problem import DiscreteProblem, DenseKernel, kernel_matrix
 
@@ -136,17 +134,14 @@ class SchrodingerSolution:
 _VANISHED_DUAL = "dual of a finite potential vanished somewhere; is the problem reduced?"
 
 
-def _finite_positive(v: np.ndarray) -> bool:
-    return bool(v.min() > 0.0) and bool(v.max() < INF)
-
-
 def _dual_step(problem: DiscreteProblem):
     """``u -> (psi(u), phi(u))`` for a finite, strictly positive ``u``.
 
-    The truncated scheme calls this instead of :func:`psi` and :func:`phi`:
-    its iterates cannot hold the zeros and infinities those maps check
-    for, so a step is two divisions and two BLAS matvecs, bitwise equal
-    to the public maps.  Call it under ``np.errstate(over="ignore")``.
+    Both schemes and :func:`normalization_check` call this instead of
+    :func:`psi` and :func:`phi`: their potentials are checked finite and
+    strictly positive once, at entry, so a step is two divisions and two
+    BLAS matvecs, bitwise equal to the public maps.  Call it under
+    ``np.errstate(over="ignore")``.
     """
     P = kernel_matrix(problem)
     PT = P.T
@@ -162,7 +157,6 @@ def _dual_step(problem: DiscreteProblem):
     return step
 
 
-@np.errstate(over="ignore")  # for finite_matvec
 def psi(problem: DiscreteProblem, u: np.ndarray) -> np.ndarray:
     """Dual potential over the y grid: psi_j = sum_i P[i,j] mu_i / u_i.
 
@@ -173,26 +167,19 @@ def psi(problem: DiscreteProblem, u: np.ndarray) -> np.ndarray:
     u = as_ext_array(u)
     if u.shape != (problem.n_x,):
         raise ValueError(f"potential has shape {u.shape}, expected ({problem.n_x},)")
-    P = kernel_matrix(problem)
-    if _finite_positive(u):
-        out = finite_matvec(P.T, finite_scaled_inverse(problem.mu.weights, u))
-    else:
-        out = ext_matvec(P.T, scaled_inverse(problem.mu.weights, u))
+    out = ext_matvec(kernel_matrix(problem).T, scaled_inverse(problem.mu.weights, u))
     if np.isfinite(u).all() and not (out > 0).all():
         raise NonFiniteIntermediate(_VANISHED_DUAL)
     return out
 
 
-@np.errstate(over="ignore")  # for finite_matvec
 def phi(problem: DiscreteProblem, u: np.ndarray, psi_u: np.ndarray | None = None) -> np.ndarray:
     """Return map over the x grid: phi_i = sum_j P[i,j] nu_j / psi_j."""
-    psi_u = psi(problem, u) if psi_u is None else as_ext_array(psi_u)
-    P = kernel_matrix(problem)
-    if _finite_positive(psi_u):
-        return finite_matvec(P, finite_scaled_inverse(problem.nu.weights, psi_u))
-    return ext_matvec(P, scaled_inverse(problem.nu.weights, psi_u))
+    psi_u = psi(problem, u) if psi_u is None else psi_u
+    return ext_matvec(kernel_matrix(problem), scaled_inverse(problem.nu.weights, psi_u))
 
 
+@np.errstate(over="ignore")  # for _dual_step
 def normalization_check(problem: DiscreteProblem, u: np.ndarray) -> float:
     """Return sum_i (phi(u)_i / u_i) mu_i, which equals 1 for positive u.
 
@@ -200,15 +187,8 @@ def normalization_check(problem: DiscreteProblem, u: np.ndarray) -> float:
     accumulation error for any strictly positive finite potential on a
     validated problem.
     """
-    u = as_ext_array(u, allow_inf=False)
-    if (u <= 0).any():
-        raise ValueError("normalization_check requires a strictly positive potential")
-    ps = psi(problem, u)
-    if np.isinf(ps).any():
-        raise NonFiniteIntermediate("psi has infinite entries")
-    ph = phi(problem, u, psi_u=ps)
-    if np.isinf(ph).any():
-        raise NonFiniteIntermediate("phi has infinite entries")
+    u = _check_positive_finite(u, "potential", problem.n_x)
+    _, ph = _dual_step(problem)(u)
     return math.fsum((ph / u) * problem.mu.weights)
 
 
@@ -220,15 +200,11 @@ def restricted_normalization(problem: DiscreteProblem, u: np.ndarray) -> tuple[f
     points where psi(u) is finite.  The two agree for any 0 <= u <= U
     with psi(U) finite.
     """
-    u = as_ext_array(u)
     ps = psi(problem, u)
     ph = phi(problem, u, psi_u=ps)
     if np.isinf(ph).any():
         raise NonFiniteIntermediate("phi has infinite entries")
-    terms = []
-    for i in np.flatnonzero(ph > 0):
-        terms.append(mul_ext(float(problem.mu.weights[i] * ph[i]), inv_ext(float(u[i]))))
-    lhs = sum_ext(terms)
+    lhs = math.fsum(scaled_inverse(problem.mu.weights * ph, u))
     rhs = math.fsum(problem.nu.weights[np.isfinite(ps)])
     return lhs, rhs
 
@@ -264,8 +240,10 @@ def iterate_truncated(state: SchemeState, problem: DiscreteProblem) -> SchemeSta
     )
 
 
-def _check_positive_finite(vec: np.ndarray, name: str) -> np.ndarray:
+def _check_positive_finite(vec: np.ndarray, name: str, size: int) -> np.ndarray:
     vec = as_ext_array(vec)
+    if vec.shape != (size,):
+        raise ValueError(f"{name} must have one entry per grid point ({size})")
     if np.isinf(vec).any() or (vec <= 0).any():
         raise ValueError(f"{name} must be strictly positive and finite")
     return vec
@@ -277,24 +255,26 @@ def _check_budget(tol: float, max_iter: int) -> None:
 
 
 @np.errstate(over="ignore")  # for _dual_step
-def _iterate(problem, u, tol, max_iter, trace, *, step, advance, target, scale,
+def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
              degenerate_below, ceiling=None, check_dichotomy=False) -> FixedPointResult:
     """The loop of both schemes, ``u_{n+1} = advance(phi(u_n))`` from ``u_1 = u``.
 
-    ``step(u)`` is ``(psi(u), phi(u))``; ``advance(phi_u, u, n + 1)`` is
-    ``u_{n+1}`` and its sup relative change from ``u``.  The run converges
-    once that change is at most ``tol`` and ``max |u - target(phi(u))|`` at
-    most ``tol * scale(u)``; it is degenerate-zero once min phi falls below
-    ``degenerate_below`` while still decreasing, and divergent once a step
-    passes the overflow guard or the iterate lies above it.  The early-exit
-    index is the first n with ``phi(u_n) <= ceiling``.  With
-    ``check_dichotomy``, a phi that vanishes at some points but not all
-    raises.
+    ``u`` is finite and strictly positive, and so is every iterate the
+    loop steps from, so each step is :func:`_dual_step`.
+    ``advance(phi_u, u, n + 1)`` is ``u_{n+1}`` and its sup relative
+    change from ``u``.  The run converges once that change is at most
+    ``tol`` and ``max |u - target(phi(u))|`` at most ``tol * scale(u)``;
+    it is degenerate-zero once min phi falls below ``degenerate_below``
+    while still decreasing, and divergent once a step passes the overflow
+    guard or the iterate lies above it.  The early-exit index is the first
+    n with ``phi(u_n) <= ceiling``.  With ``check_dichotomy``, a phi that
+    vanishes at some points but not all raises.
     """
     records: list[TraceRecord] = []
     early_exit: int | None = None
     prev_min_phi = INF
     status = STATUS_MAX_ITER
+    step = _dual_step(problem)
     n = 1
     try:
         ps, ph = step(u)
@@ -313,7 +293,6 @@ def _iterate(problem, u, tol, max_iter, trace, *, step, advance, target, scale,
 
             u_next, rel = advance(ph, u, n + 1)
             if trace:
-                well_scaled = (u > 0).all() and np.isfinite(ph).all()
                 records.append(
                     TraceRecord(
                         n=n,
@@ -321,9 +300,7 @@ def _iterate(problem, u, tol, max_iter, trace, *, step, advance, target, scale,
                         max_u=float(np.max(u)),
                         residual=rel,
                         min_phi=min_phi,
-                        normalization=float(np.dot(problem.mu.weights, ph / u))
-                        if well_scaled
-                        else float("nan"),
+                        normalization=float(np.dot(problem.mu.weights, ph / u)),
                     )
                 )
             u = u_next
@@ -339,7 +316,7 @@ def _iterate(problem, u, tol, max_iter, trace, *, step, advance, target, scale,
         status = STATUS_DIVERGENT
         residual = INF
         ps = None
-    if np.isfinite(u).all() and float(np.max(u)) > OVERFLOW_LIMIT:
+    if float(np.max(u)) > OVERFLOW_LIMIT:
         status = STATUS_DIVERGENT
 
     return FixedPointResult(u_star=u, iterations=n - 1, residual=residual, trace=records,
@@ -367,9 +344,7 @@ def solve_fortet(
     _check_budget(tol, max_iter)
     if U is None:
         U = np.ones(problem.n_x)
-    U = _check_positive_finite(U, "ceiling U")
-    if U.shape != (problem.n_x,):
-        raise ValueError("ceiling U must have one entry per x point")
+    U = _check_positive_finite(U, "ceiling U", problem.n_x)
     sup_U = float(np.max(U))
 
     def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
@@ -380,9 +355,8 @@ def solve_fortet(
         # u - u_next is |u_next - u| bit for bit, as it is nonnegative
         return u_next, float(np.max((u - u_next) / u))
 
-    return _iterate(problem, U.copy(), tol, max_iter, trace, step=_dual_step(problem),
-                    advance=advance, target=lambda phi_u: np.minimum(phi_u, U),
-                    scale=lambda u: sup_U,
+    return _iterate(problem, U.copy(), tol, max_iter, trace, advance=advance,
+                    target=lambda phi_u: np.minimum(phi_u, U), scale=lambda u: sup_U,
                     degenerate_below=DEGENERATE_CUTOFF * float(np.min(U)), ceiling=U,
                     check_dichotomy=bool((kernel_matrix(problem) > 0).all()))
 
@@ -398,28 +372,21 @@ def solve_untruncated(
 
     Without the positivity floor the iteration may collapse to the zero
     fixed point (status degenerate-zero) or blow up past the overflow
-    guard (status divergent).  ``u1`` may hold zeros and infinities;
-    ``tol`` must be at least ``MIN_TOL``.
+    guard (status divergent).  ``u1`` must be finite and strictly
+    positive, like the ceiling of :func:`solve_fortet`; ``tol`` must be
+    at least ``MIN_TOL``.
     """
     _check_budget(tol, max_iter)
     if u1 is None:
         u1 = np.ones(problem.n_x)
-    u = as_ext_array(u1).copy()
-    if u.shape != (problem.n_x,):
-        raise ValueError("u1 must have one entry per x point")
-
-    def step(u: np.ndarray):
-        ps = psi(problem, u)
-        return ps, phi(problem, u, psi_u=ps)
+    u = _check_positive_finite(u1, "start u1", problem.n_x).copy()
 
     def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
-        pos = u > 0
-        rel = float(np.max(np.abs(phi_u[pos] - u[pos]) / u[pos])) if pos.any() else INF
-        return phi_u, rel
+        return phi_u, float(np.max(np.abs(phi_u - u) / u))
 
-    return _iterate(problem, u, tol, max_iter, trace, step=step, advance=advance,
+    return _iterate(problem, u, tol, max_iter, trace, advance=advance,
                     target=lambda phi_u: phi_u, scale=lambda u: float(np.max(u)),
-                    degenerate_below=DEGENERATE_CUTOFF * max(float(np.max(u)), 1e-300))
+                    degenerate_below=DEGENERATE_CUTOFF * float(np.max(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,10 +504,8 @@ def sinkhorn_baseline(
 
 def twist(problem: DiscreteProblem, alpha: np.ndarray, beta: np.ndarray) -> DiscreteProblem:
     """Replace the kernel by alpha(x) beta(y) p(x, y); marginals unchanged."""
-    alpha = _check_positive_finite(alpha, "alpha")
-    beta = _check_positive_finite(beta, "beta")
-    if alpha.shape != (problem.n_x,) or beta.shape != (problem.n_y,):
-        raise ValueError("alpha/beta must align with the grids")
+    alpha = _check_positive_finite(alpha, "alpha", problem.n_x)
+    beta = _check_positive_finite(beta, "beta", problem.n_y)
     P = kernel_matrix(problem)
     return DiscreteProblem(
         x_space=problem.x_space,
@@ -560,8 +525,8 @@ def untwist_solution(
     coupling is untouched.  The relative entropy is restated against the
     original reference, which shifts it by the pi-averaged log twists.
     """
-    alpha = _check_positive_finite(alpha, "alpha")
-    beta = _check_positive_finite(beta, "beta")
+    alpha = _check_positive_finite(alpha, "alpha", solution.a.size)
+    beta = _check_positive_finite(beta, "beta", solution.b.size)
     a = alpha * solution.a
     b = beta * solution.b
     s = float(a.sum())

@@ -261,7 +261,7 @@ def test_solve_monotonicity_violation_exit_two(tmp_path, two_by_two_file, capsys
     assert "monotone" in _one_error_line(capsys)
 
 
-def test_overflowing_ceiling_reports_divergent_exit_two(tmp_path, two_by_two_file):
+def test_overflowing_ceiling_reports_divergent_exit_two(tmp_path, two_by_two_file, capsys):
     # mu / U passes the overflow guard on the first step
     upath = tmp_path / "U.json"
     upath.write_text("[1e-301, 1e-301]")
@@ -272,6 +272,11 @@ def test_overflowing_ceiling_reports_divergent_exit_two(tmp_path, two_by_two_fil
     code = main(["compare", "--input", two_by_two_file, "--U", str(upath), "--output", str(out)])
     assert code == 2
     assert read(out)["fortet_status"] == "divergent"
+    capsys.readouterr()
+    # check has no report to mark divergent: one error line instead
+    code = main(["check", "--input", two_by_two_file, "--moment-U", str(upath)])
+    assert code == 2
+    assert "overflow guard" in _one_error_line(capsys)
 
 
 def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, capsys):
@@ -279,3 +284,27 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
                  "--output", str(tmp_path / "s.json")])
     assert code == 1
     assert "tol must be at least" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "args, content",
+    [
+        (["solve", "--U", "{file}"], "[0.0, 1.0]"),
+        (["solve", "--U", "{file}"], "[NaN, 1.0]"),
+        (["solve", "--U", "{file}"], '["a", 1.0]'),
+        (["check", "--moment-U", "{file}"], "[0.0, 1.0]"),
+        (["check", "--moment-U", "{file}"], '["a", 1.0]'),
+        (["check", "--domination-witness", "{file}"], '{"K": [0], "c": [1.0]}'),
+        (["check", "--moment-r", "0.5"], None),
+    ],
+    ids=["U-zero", "U-nan", "U-string", "moment-U-zero", "moment-U-string",
+         "witness-without-x", "moment-r-half"],
+)
+def test_bad_vector_inputs_exit_one(tmp_path, two_by_two_file, capsys, args, content):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    argv = [args[0], "--input", two_by_two_file, "--output", str(tmp_path / "r.json")]
+    argv += [a.replace("{file}", str(path)) for a in args[1:]]
+    assert main(argv) == 1
+    _one_error_line(capsys)

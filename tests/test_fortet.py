@@ -291,16 +291,13 @@ def test_solvers_agree_with_chained_single_steps(two_by_two, size):
     assert np.array_equal(result.u_star, state.u)
     assert result.early_exit_index == state.early_exit_index
 
-    # the all-INF start stays on the [0, inf]-aware maps; a start with a
-    # zero, or with some but not all entries INF, ends degenerate-zero at
-    # the first step, where phi vanishes or the cutoff reference is INF
     k = 5
-    for u in (np.linspace(0.5, 2.0, problem.n_x), np.full(problem.n_x, INF)):
-        plain = solve_untruncated(problem, u1=u, tol=MIN_TOL, max_iter=k)
-        assert plain.status == "max-iter"
-        for _ in range(k):
-            u = phi(problem, u)
-        assert np.array_equal(plain.u_star, u)
+    u = np.linspace(0.5, 2.0, problem.n_x)
+    plain = solve_untruncated(problem, u1=u, tol=MIN_TOL, max_iter=k)
+    assert plain.status == "max-iter"
+    for _ in range(k):
+        u = phi(problem, u)
+    assert np.array_equal(plain.u_star, u)
 
 
 def test_solve_fortet_degenerate_cutoff_rule():
@@ -339,11 +336,6 @@ def test_solve_untruncated_constant_kernel(constant_kernel):
     result = solve_untruncated(constant_kernel)
     assert result.status == STATUS_CONVERGED
     assert np.array_equal(result.u_star, [1.0, 1.0])
-
-
-def test_solve_untruncated_zero_start(two_by_two):
-    result = solve_untruncated(two_by_two, u1=np.zeros(2))
-    assert result.status == STATUS_DEGENERATE
 
 
 def test_solve_untruncated_matches_truncated_up_to_scale(two_by_two):
@@ -571,19 +563,15 @@ def test_solve_untruncated_finite_start_skips_extnum_path(two_by_two, monkeypatc
     assert calls == []
 
 
-def test_solve_untruncated_zero_or_inf_start_takes_extnum_path(two_by_two, monkeypatch):
-    calls = _count_ext_matvec(monkeypatch)
-    result = solve_untruncated(two_by_two, u1=np.array([0.0, 1.0]))
-    assert result.status == STATUS_DEGENERATE
-    assert np.isinf(result.psi_star).all()
-    assert calls
-
-    calls.clear()
-    result = solve_untruncated(two_by_two, u1=np.array([INF, INF]), max_iter=5)
-    assert result.status == "max-iter"
-    assert result.iterations == 5
-    assert np.array_equal(result.psi_star, [0.0, 0.0])
-    assert len(calls) == 2 * 6
+@pytest.mark.parametrize(
+    "u1",
+    [[0.0, 1.0], [INF, 1.0], [INF, INF], [float("nan"), 1.0], [-1.0, 1.0]],
+    ids=["zero", "some-inf", "all-inf", "nan", "negative"],
+)
+def test_solve_untruncated_rejects_start_off_the_positive_reals(two_by_two, u1):
+    # 0 and INF belong to the boundary maps, never to an iterate
+    with pytest.raises(ValueError):
+        solve_untruncated(two_by_two, u1=np.array(u1))
 
 
 @pytest.mark.parametrize(
