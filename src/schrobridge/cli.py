@@ -9,11 +9,18 @@ Subcommands::
     report        render a JSON report as a table on stdout
 
 Exit codes: 0 success / criterion certified / gap within tolerance;
-1 parse or validation failure, including a ``--tol`` below 4 eps
-(``fortet.MIN_TOL``), a ``--U`` or ``--moment-U`` file that is not a
-list of one finite, strictly positive number per x point, a
-``--domination-witness`` without the keys K, x and c, and a
-``--moment-r`` not above 1; 2 degenerate, divergent or failed solve: a
+1 parse or validation failure: a JSON input that does not parse (the
+message names its file, line and column), a ``--tol`` below 4 eps
+(``fortet.MIN_TOL``) or NaN, a ``--U`` or ``--moment-U`` file that is
+not a list of one finite, strictly positive number per x point, a
+``--U`` file with a scheme other than truncated, a ``--moment-U`` or
+``--domination-witness`` with a Gaussian triple, a witness without the
+keys K, x and c or with an index outside the x grid or a coefficient
+not finite and positive, a ``--moment-r`` not above 1, a
+``--finite-guard`` not positive, a ``--gap-tol`` negative or NaN, and a
+grid with ``--points-per-dim`` not odd and at least 3,
+``--half-width-sigmas`` not positive, or more points than
+``gaussian.MAX_GRID_POINTS``; 2 degenerate, divergent or failed solve: a
 divergent run (a step past the overflow guard, under either scheme) is
 written as a report with status "divergent", and a solver error (a
 vanishing or non-finite dual, a violated monotone decrease, a Sinkhorn
@@ -34,7 +41,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -47,9 +54,10 @@ from .problem import (
     ParseError,
     SchemaError,
     ValidationError,
+    _read_json,
     load_problem,
+    problem_from_dict,
     problem_to_dict,
-    save_problem,
     validate_reduction,
 )
 
@@ -63,75 +71,42 @@ EXIT_GAP = 5
 TRACE_HEADER = ["n", "min_u", "max_u", "residual", "min_phi", "normalization"]
 
 
-@dataclass
-class RunConfig:
-    command: str
-    input_path: str | None = None
-    output_path: str | None = None
-    tol: float = 1e-10
-    max_iter: int = 100_000
-    scheme: str = "truncated"
-    U: str = "ones"
-    trace: bool = False
-    gap_tol: float = 1e-8
-    finite_guard: float = crit.DIVERGENCE_GUARD
-    points_per_dim: int | None = None
-    half_width_sigmas: float = 6.0
-    moment_U_path: str | None = None
-    moment_r: float = 2.0
-    domination_witness_path: str | None = None
-    input_format: str = "json"
-
-    def __post_init__(self):
-        if self.tol < ft.MIN_TOL:
-            raise ValidationError(f"tol must be at least {ft.MIN_TOL:.3g}")
-        if self.max_iter < 1:
-            raise ValidationError("max-iter must be at least 1")
-        if not self.moment_r > 1.0:
-            raise ValidationError("moment-r must exceed 1")
-
-
-def _jsonable(obj):
-    """Recursively convert to JSON-safe values; infinities become 'inf'."""
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        if math.isnan(f):
-            return "nan"
-        if math.isinf(f):
-            return "inf"
-        return f
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _dumps(obj, level: int = 0) -> str:
-    """``json.dumps(_jsonable(obj), sort_keys=True, indent=2)``, nested ``level`` deep.
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, nested ``level`` deep.
 
-    Dicts (string keys) are walked here, and a nonempty float array with
-    only finite entries is written straight from ``float.__repr__``, as
-    the json encoder writes floats; everything else, including arrays
-    that hold ``inf`` or ``nan``, goes through ``_jsonable`` and ``json``.
+    Numpy arrays and scalars are written as lists and numbers, and
+    infinite and NaN floats as the strings "inf" and "nan".  A nonempty
+    float array with only finite entries is written straight from
+    ``float.__repr__``, as the json encoder writes floats, with one
+    ``isfinite`` check per array instead of one per element.
     """
     pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, dict) and obj:
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim and obj.size and np.isfinite(obj).all():
+            if obj.ndim == 1:
+                items = map(float.__repr__, obj.tolist())
+            else:
+                items = (_dumps(row, level + 1) for row in obj)
+            return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+        obj = obj.tolist()
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return float.__repr__(f) if math.isfinite(f) else '"nan"' if math.isnan(f) else '"inf"'
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    # generators, not lists: an item (the 19 MB ``pi`` of an 801-point report)
+    # is freed once joined, not held through the copies of the concatenation
+    if isinstance(obj, dict):
+        brackets = "{}"
         items = (f"{json.dumps(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj))
-        return "{" + pad + ("," + pad).join(items) + pad[:-2] + "}"
-    if (isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and obj.ndim and obj.size
-            and np.isfinite(obj).all()):
-        if obj.ndim == 1:
-            items = map(float.__repr__, obj.tolist())
-        else:
-            items = (_dumps(row, level + 1) for row in obj)
-        return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False)
-    return text.replace("\n", pad[:-2])
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = (_dumps(v, level + 1) for v in obj)
+    else:  # str, int, bool and None; json raises TypeError on anything else
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
 
 
 def _write_report(payload: dict, path: str | None) -> None:
@@ -158,15 +133,13 @@ def _write_trace_csv(trace, path: str) -> None:
             ])
 
 
-def _load_validated(config: RunConfig) -> DiscreteProblem:
-    problem = load_problem(config.input_path, format=config.input_format)
-    return validate_reduction(problem)
+def _load_validated(args: argparse.Namespace) -> DiscreteProblem:
+    return validate_reduction(load_problem(args.input, format=args.format))
 
 
 def _load_ceiling(path: str, problem: DiscreteProblem) -> np.ndarray:
     """A ceiling from a JSON list: one finite, strictly positive number per x point."""
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+    obj = _read_json(path)
     try:
         vec = np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -178,39 +151,56 @@ def _load_ceiling(path: str, problem: DiscreteProblem) -> np.ndarray:
     return vec
 
 
-def cmd_solve(config: RunConfig) -> int:
-    problem = _load_validated(config)
-    payload: dict = {"command": "solve", "scheme": config.scheme}
+def _discretize(args: argparse.Namespace, obj):
+    """``(gp, points_per_dim, problem)``: the Gaussian triple ``obj`` on the grid
+    the options ask for, or None when ``obj`` is not a triple."""
+    if not (isinstance(obj, dict) and {"a", "b", "c"} <= obj.keys()):
+        return None
+    try:
+        gp = gs.GaussianProblem(a=obj["a"], b=obj["b"], c=obj["c"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad gaussian problem: {exc}") from exc
+    pts = {1: 201, 2: 31}.get(gp.dim, 11) if args.points_per_dim is None else args.points_per_dim
+    try:
+        problem = gs.discretize_gaussian(gp, args.half_width_sigmas, pts)
+    except ValueError as exc:
+        raise ValidationError(f"bad grid: {exc}") from exc
+    return gp, pts, problem
 
-    if config.scheme == "sinkhorn":
+
+def cmd_solve(args: argparse.Namespace) -> int:
+    if args.scheme != "truncated" and args.U != "ones":
+        raise ValidationError(f"--U applies to --scheme truncated only, not {args.scheme}")
+    problem = _load_validated(args)
+    payload: dict = {"command": "solve", "scheme": args.scheme}
+
+    if args.scheme == "sinkhorn":
         try:
-            sol = ft.sinkhorn_baseline(problem, tol=config.tol, max_iter=config.max_iter)
+            sol = ft.sinkhorn_baseline(problem, tol=args.tol, max_iter=args.max_iter)
         except ft.MaxIterExceeded:
             payload.update({"status": ft.STATUS_MAX_ITER})
-            _write_report(payload, config.output_path)
+            _write_report(payload, args.output)
             return EXIT_MAX_ITER
         except ValueError as exc:  # the oracle refuses a kernel with a zero entry
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_DEGENERATE
         payload.update({"status": ft.STATUS_CONVERGED, "iterations": None, "residual": None})
         _fill_solution(payload, sol)
-        _write_report(payload, config.output_path)
+        _write_report(payload, args.output)
         return EXIT_OK
 
-    if config.scheme == "truncated":
+    if args.scheme == "truncated":
         result = ft.solve_fortet(
             problem,
-            U=None if config.U == "ones" else _load_ceiling(config.U, problem),
-            tol=config.tol,
-            max_iter=config.max_iter,
-            trace=config.trace,
-        )
-    elif config.scheme == "untruncated":
-        result = ft.solve_untruncated(
-            problem, tol=config.tol, max_iter=config.max_iter, trace=config.trace
+            U=None if args.U == "ones" else _load_ceiling(args.U, problem),
+            tol=args.tol,
+            max_iter=args.max_iter,
+            trace=args.trace,
         )
     else:
-        raise ValidationError(f"unknown scheme {config.scheme!r}")
+        result = ft.solve_untruncated(
+            problem, tol=args.tol, max_iter=args.max_iter, trace=args.trace
+        )
 
     payload.update(
         {
@@ -220,15 +210,15 @@ def cmd_solve(config: RunConfig) -> int:
             "early_exit_index": result.early_exit_index,
         }
     )
-    if config.trace:
+    if args.trace:
         payload["trace"] = [asdict(rec) for rec in result.trace]
-        if config.output_path:
-            _write_trace_csv(result.trace, config.output_path + ".trace.csv")
+        if args.output:
+            _write_trace_csv(result.trace, args.output + ".trace.csv")
     if result.status == ft.STATUS_CONVERGED:
         sol = ft.extract_solution(problem, result.u_star, psi_star=result.psi_star)
         _fill_solution(payload, sol)
         payload["u_star"] = result.u_star
-    _write_report(payload, config.output_path)
+    _write_report(payload, args.output)
     if result.status == ft.STATUS_CONVERGED:
         return EXIT_OK
     if result.status == ft.STATUS_MAX_ITER:
@@ -249,82 +239,30 @@ def _fill_solution(payload: dict, sol: ft.SchrodingerSolution) -> None:
     )
 
 
-def _sniff_gaussian(path: str) -> dict | None:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if isinstance(obj, dict) and {"a", "b", "c"} <= set(obj):
-        return obj
-    return None
-
-
-def _gaussian_from_dict(obj: dict) -> gs.GaussianProblem:
-    def mat(v):
-        arr = np.asarray(v, dtype=float)
-        return arr.reshape(1, 1) if arr.ndim == 0 else arr
-
-    try:
-        return gs.GaussianProblem(a=mat(obj["a"]), b=mat(obj["b"]), c=mat(obj["c"]))
-    except (gs.NotSPD, gs.DimensionMismatch, ValueError) as exc:
-        raise SchemaError(f"bad gaussian problem: {exc}") from exc
-
-
-def _default_points(dim: int) -> int:
-    return {1: 201, 2: 31}.get(dim, 11)
-
-
-def cmd_check(config: RunConfig) -> int:
-    gauss_obj = _sniff_gaussian(config.input_path) if config.input_format == "json" else None
-    if gauss_obj is not None:
-        gp = _gaussian_from_dict(gauss_obj)
-        pts = config.points_per_dim or _default_points(gp.dim)
-        mc = gs.matrix_criterion(gp)
-        problem = validate_reduction(
-            gs.discretize_gaussian(
-                gp, half_width_sigmas=config.half_width_sigmas, points_per_dim=pts
-            )
-        )
-        integral = crit.check_integral_criterion(problem, finite_guard=config.finite_guard)
-        payload = {
-            "command": "check",
-            "mode": "gaussian",
-            "matrix_criterion": {
-                "xy_holds": mc.xy_holds,
-                "yx_holds": mc.yx_holds,
-                "xy_min_eig": mc.xy_min_eig,
-                "yx_min_eig": mc.yx_min_eig,
-            },
-            "discretization": {"points_per_dim": pts, "half_width_sigmas": config.half_width_sigmas},
-            "integral": _integral_payload(integral),
-        }
-        ok = mc.xy_holds or mc.yx_holds or integral.xy.finite or integral.yx.finite
-        _print_criteria_table(payload)
-        if config.output_path:
-            _write_report(payload, config.output_path)
-        return EXIT_OK if ok else EXIT_NO_CRITERION
-
-    problem = _load_validated(config)
-    witness = None
-    if config.domination_witness_path:
-        with open(config.domination_witness_path, "r", encoding="utf-8") as fh:
-            w = json.load(fh)
+def cmd_check(args: argparse.Namespace) -> int:
+    if args.format == "json":
+        obj = _read_json(args.input)
+        gaussian = _discretize(args, obj)
+        if gaussian is not None:
+            return _check_gaussian(args, *gaussian)
+        problem = validate_reduction(problem_from_dict(obj))
+    else:
+        problem = _load_validated(args)
+    domination = None
+    if args.domination_witness:
+        path = args.domination_witness
+        w = _read_json(path)
         if not (isinstance(w, dict) and {"K", "x", "c"} <= w.keys()):
-            raise ValidationError(
-                f"{config.domination_witness_path}: a witness needs the keys K, x and c"
-            )
-        witness = (w["K"], w["x"], w["c"])
-    moment_U = None
-    if config.moment_U_path:
-        moment_U = _load_ceiling(config.moment_U_path, problem)
+            raise ValidationError(f"{path}: a witness needs the keys K, x and c")
+        try:
+            domination = crit.check_compact_domination(problem, w["K"], w["x"], w["c"])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"{path}: bad witness: {exc}") from exc
+    moment_U = _load_ceiling(args.moment_U, problem) if args.moment_U else None
     report = crit.full_report(
-        problem,
-        finite_guard=config.finite_guard,
-        domination_witness=witness,
-        moment_U=moment_U,
-        moment_r=config.moment_r,
+        problem, finite_guard=args.finite_guard, moment_U=moment_U, moment_r=args.moment_r
     )
+    report = replace(report, domination=domination)
     payload = {
         "command": "check",
         "mode": "discrete",
@@ -348,14 +286,42 @@ def cmd_check(config: RunConfig) -> int:
             "c": report.moment.c,
             "r": report.moment.r,
             "x_o_index": report.moment.x_o_index,
-            "U_source": config.moment_U_path,
+            "U_source": args.moment_U,
         }
     if report.radial is not None:
         payload["radial"] = {"holds": report.radial.holds, "L_found": report.radial.L_found}
     _print_criteria_table(payload)
-    if config.output_path:
-        _write_report(payload, config.output_path)
+    if args.output:
+        _write_report(payload, args.output)
     return EXIT_OK if crit.sufficient_for_existence(report) else EXIT_NO_CRITERION
+
+
+def _check_gaussian(args: argparse.Namespace, gp: gs.GaussianProblem, pts: int,
+                    problem: DiscreteProblem) -> int:
+    if args.moment_U or args.domination_witness:
+        raise ValidationError("--moment-U and --domination-witness need a problem file, "
+                              "not a gaussian triple")
+    mc = gs.matrix_criterion(gp)
+    integral = crit.check_integral_criterion(
+        validate_reduction(problem), finite_guard=args.finite_guard
+    )
+    payload = {
+        "command": "check",
+        "mode": "gaussian",
+        "matrix_criterion": {
+            "xy_holds": mc.xy_holds,
+            "yx_holds": mc.yx_holds,
+            "xy_min_eig": mc.xy_min_eig,
+            "yx_min_eig": mc.yx_min_eig,
+        },
+        "discretization": {"points_per_dim": pts, "half_width_sigmas": args.half_width_sigmas},
+        "integral": _integral_payload(integral),
+    }
+    ok = mc.xy_holds or mc.yx_holds or integral.xy.finite or integral.yx.finite
+    _print_criteria_table(payload)
+    if args.output:
+        _write_report(payload, args.output)
+    return EXIT_OK if ok else EXIT_NO_CRITERION
 
 
 def _integral_payload(integral: crit.IntegralCriterionResult) -> dict:
@@ -402,10 +368,10 @@ def _print_criteria_table(payload: dict) -> None:
         sys.stdout.write(line + "\n")
 
 
-def cmd_compare(config: RunConfig) -> int:
-    problem = _load_validated(config)
-    U = None if config.U == "ones" else _load_ceiling(config.U, problem)
-    result = ft.solve_fortet(problem, U=U, tol=config.tol, max_iter=config.max_iter)
+def cmd_compare(args: argparse.Namespace) -> int:
+    problem = _load_validated(args)
+    U = None if args.U == "ones" else _load_ceiling(args.U, problem)
+    result = ft.solve_fortet(problem, U=U, tol=args.tol, max_iter=args.max_iter)
     failed = result.status != ft.STATUS_CONVERGED
     payload: dict = {
         "command": "compare",
@@ -413,13 +379,13 @@ def cmd_compare(config: RunConfig) -> int:
         "fortet_iterations": result.iterations,
     }
     if failed:
-        _write_report(payload, config.output_path)
+        _write_report(payload, args.output)
         return EXIT_DEGENERATE
     try:
-        sink = ft.sinkhorn_baseline(problem, tol=config.tol, max_iter=config.max_iter)
+        sink = ft.sinkhorn_baseline(problem, tol=args.tol, max_iter=args.max_iter)
     except (ft.MaxIterExceeded, ValueError) as exc:
         payload["sinkhorn_error"] = str(exc)
-        _write_report(payload, config.output_path)
+        _write_report(payload, args.output)
         return EXIT_DEGENERATE
 
     u_f = result.u_star / result.u_star[0]
@@ -432,34 +398,25 @@ def cmd_compare(config: RunConfig) -> int:
         {
             "potential_gap": gap,
             "coupling_gap": coupling_gap,
-            "gap_tol": config.gap_tol,
+            "gap_tol": args.gap_tol,
             "fortet_rel_entropy": sol_f.rel_entropy,
             "sinkhorn_rel_entropy": sink.rel_entropy,
         }
     )
-    _write_report(payload, config.output_path)
-    return EXIT_OK if gap <= config.gap_tol else EXIT_GAP
+    _write_report(payload, args.output)
+    return EXIT_OK if gap <= args.gap_tol else EXIT_GAP
 
 
-def cmd_gaussian_gen(config: RunConfig) -> int:
-    gauss_obj = _sniff_gaussian(config.input_path)
-    if gauss_obj is None:
+def cmd_gaussian_gen(args: argparse.Namespace) -> int:
+    gaussian = _discretize(args, _read_json(args.input))
+    if gaussian is None:
         raise SchemaError("gaussian-gen expects a JSON object with keys a, b, c")
-    gp = _gaussian_from_dict(gauss_obj)
-    pts = config.points_per_dim or _default_points(gp.dim)
-    problem = gs.discretize_gaussian(
-        gp, half_width_sigmas=config.half_width_sigmas, points_per_dim=pts
-    )
-    if config.output_path is None:
-        _write_report(problem_to_dict(problem), None)
-    else:
-        save_problem(problem, config.output_path, format="json")
+    _write_report(problem_to_dict(gaussian[2]), args.output)
     return EXIT_OK
 
 
-def cmd_report(config: RunConfig) -> int:
-    with open(config.input_path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+def cmd_report(args: argparse.Namespace) -> int:
+    obj = _read_json(args.input)
     rows: list[tuple[str, str]] = []
 
     def flatten(prefix: str, value):
@@ -482,75 +439,67 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="schrobridge", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--input", required=True, dest="input_path")
-        p.add_argument("--output", dest="output_path")
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--input", required=True)
+    files.add_argument("--output")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "csv-bundle"], default="json")
+    fortet = argparse.ArgumentParser(add_help=False)
+    fortet.add_argument("--max-iter", type=int, default=100_000)
+    fortet.add_argument("--U", default="ones",
+                        help="'ones' or a JSON file with the ceiling vector")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--points-per-dim", type=int)
+    grid.add_argument("--half-width-sigmas", type=float, default=6.0)
 
-    p_solve = sub.add_parser("solve", help="solve a problem file")
-    common(p_solve)
-    p_solve.add_argument("--format", dest="input_format", choices=["json", "csv-bundle"],
-                         default="json")
+    p_solve = sub.add_parser("solve", parents=[files, fmt, fortet], help="solve a problem file")
     p_solve.add_argument("--scheme", choices=["truncated", "untruncated", "sinkhorn"],
                          default="truncated")
     p_solve.add_argument("--tol", type=float, default=1e-10)
-    p_solve.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
-    p_solve.add_argument("--U", default="ones",
-                         help="'ones' or a JSON file with the ceiling vector")
     p_solve.add_argument("--trace", action="store_true")
+    p_solve.set_defaults(handler=cmd_solve)
 
-    p_check = sub.add_parser("check", help="run existence criteria")
-    common(p_check)
-    p_check.add_argument("--format", dest="input_format", choices=["json", "csv-bundle"],
-                         default="json")
-    p_check.add_argument("--finite-guard", type=float, default=crit.DIVERGENCE_GUARD,
-                         dest="finite_guard")
-    p_check.add_argument("--points-per-dim", type=int, dest="points_per_dim")
-    p_check.add_argument("--half-width-sigmas", type=float, default=6.0,
-                         dest="half_width_sigmas")
-    p_check.add_argument("--domination-witness", dest="domination_witness_path",
-                         help="JSON file with keys K, x, c")
-    p_check.add_argument("--moment-U", dest="moment_U_path",
-                         help="JSON file with the ceiling vector")
-    p_check.add_argument("--moment-r", type=float, default=2.0, dest="moment_r")
+    p_check = sub.add_parser("check", parents=[files, fmt, grid], help="run existence criteria")
+    p_check.add_argument("--finite-guard", type=float, default=crit.DIVERGENCE_GUARD)
+    p_check.add_argument("--domination-witness", help="JSON file with keys K, x, c")
+    p_check.add_argument("--moment-U", help="JSON file with the ceiling vector")
+    p_check.add_argument("--moment-r", type=float, default=2.0)
+    p_check.set_defaults(handler=cmd_check)
 
-    p_cmp = sub.add_parser("compare", help="fortet vs sinkhorn")
-    common(p_cmp)
-    p_cmp.add_argument("--format", dest="input_format", choices=["json", "csv-bundle"],
-                       default="json")
+    p_cmp = sub.add_parser("compare", parents=[files, fmt, fortet], help="fortet vs sinkhorn")
     # tight default: the gap is measured after normalizing at the first
     # grid index, which can sit deep in a potential's tail
     p_cmp.add_argument("--tol", type=float, default=1e-14)
-    p_cmp.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
-    p_cmp.add_argument("--U", default="ones")
-    p_cmp.add_argument("--gap-tol", type=float, default=1e-8, dest="gap_tol")
+    p_cmp.add_argument("--gap-tol", type=float, default=1e-8)
+    p_cmp.set_defaults(handler=cmd_compare)
 
-    p_gen = sub.add_parser("gaussian-gen", help="discretize a gaussian triple")
-    common(p_gen)
-    p_gen.add_argument("--points-per-dim", type=int, dest="points_per_dim")
-    p_gen.add_argument("--half-width-sigmas", type=float, default=6.0,
-                       dest="half_width_sigmas")
-
-    p_rep = sub.add_parser("report", help="render a JSON report")
-    common(p_rep)
+    sub.add_parser("gaussian-gen", parents=[files, grid],
+                   help="discretize a gaussian triple").set_defaults(handler=cmd_gaussian_gen)
+    sub.add_parser("report", parents=[files],
+                   help="render a JSON report").set_defaults(handler=cmd_report)
     return parser
 
 
+def _check_limits(args: argparse.Namespace) -> None:
+    """Reject a numeric option out of its range (NaN included) before any handler runs."""
+    limits = {
+        "tol": (lambda v: v >= ft.MIN_TOL, f"tol must be at least {ft.MIN_TOL:.3g}"),
+        "max_iter": (lambda v: v >= 1, "max-iter must be at least 1"),
+        "moment_r": (lambda v: v > 1.0, "moment-r must exceed 1"),
+        "finite_guard": (lambda v: v > 0.0, "finite-guard must be positive"),
+        "gap_tol": (lambda v: v >= 0.0, "gap-tol must be a nonnegative number"),
+    }
+    for dest, (ok, message) in limits.items():
+        if dest in args and not ok(getattr(args, dest)):
+            raise ValidationError(message)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    kwargs = {k: v for k, v in vars(args).items() if k in fields and v is not None}
+    args = build_parser().parse_args(argv)
     try:
-        config = RunConfig(**kwargs)
-        handler = {
-            "solve": cmd_solve,
-            "check": cmd_check,
-            "compare": cmd_compare,
-            "gaussian-gen": cmd_gaussian_gen,
-            "report": cmd_report,
-        }[config.command]
-        return handler(config)
-    except (ParseError, SchemaError, ValidationError, OSError, json.JSONDecodeError) as exc:
+        _check_limits(args)
+        return args.handler(args)
+    except (ParseError, ValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (ft.NonFiniteIntermediate, ft.MonotonicityViolated, ExtOverflowError) as exc:

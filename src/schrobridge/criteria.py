@@ -145,15 +145,18 @@ def check_compact_domination(
     at most ``sum_k c_k P[x_k, j]``.  On failure the first violating
     column index is reported.  Continuity of the kernel in x is recorded
     by kernel kind: functional kernels are continuous by construction,
-    dense tables are taken on faith.
+    dense tables are taken on faith.  Raises ValueError for an index outside
+    ``[0, n_x)`` or a coefficient that is not finite and positive.
     """
     K_indices = tuple(int(i) for i in K_indices)
     x_indices = tuple(int(i) for i in x_indices)
     coefficients = tuple(float(c) for c in coefficients)
     if not K_indices or not x_indices or len(x_indices) != len(coefficients):
         raise ValueError("K nonempty and x_indices/coefficients of equal positive length required")
-    if any(c <= 0 for c in coefficients):
-        raise ValueError("coefficients must be positive")
+    if not all(0 <= i < problem.n_x for i in K_indices + x_indices):
+        raise ValueError(f"indices must lie in [0, {problem.n_x})")
+    if not all(0 < c < math.inf for c in coefficients):
+        raise ValueError("coefficients must be finite and positive")
     P = kernel_matrix(problem)
     target = P[list(K_indices), :].max(axis=0)
     bound = np.asarray(coefficients) @ P[list(x_indices), :]

@@ -248,7 +248,7 @@ def discretize_gaussian(
     """
     if points_per_dim < 3 or points_per_dim % 2 == 0:
         raise ValueError("points_per_dim must be an odd integer >= 3")
-    if half_width_sigmas <= 0:
+    if not half_width_sigmas > 0:
         raise ValueError("half_width_sigmas must be positive")
     total = points_per_dim**gp.dim
     if total > max_points:

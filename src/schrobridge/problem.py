@@ -443,15 +443,21 @@ def save_problem(problem: DiscreteProblem, path: str, format: str = "json") -> N
         raise ValueError(f"unknown format {format!r}")
 
 
+def _read_json(path: str):
+    """The JSON document in ``path``; a syntax error raises ParseError naming the place."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def load_problem(path: str, format: str = "json") -> DiscreteProblem:
     """Read a problem from disk; inverse of :func:`save_problem`."""
     if format == "json":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-        return problem_from_dict(obj)
+        return problem_from_dict(_read_json(path))
     if format == "csv-bundle":
         return _load_csv_bundle(path)
     raise ValueError(f"unknown format {format!r}")

@@ -197,23 +197,32 @@ def test_report_renders_table(tmp_path, two_by_two_file, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, plain",
     [
-        {},
-        {"a": np.array([0.1, -2.5, 1e-300, 3.0]), "b": {"c": np.arange(6.0).reshape(2, 3)}},
-        {"empty": np.array([]), "empty2d": np.zeros((2, 0)), "scalar": np.float64(0.25),
-         "count": np.int64(7), "zero_d": np.array(1.5), "none": None, "flag": True},
-        {"inf": np.array([1.0, np.inf]), "nan": np.array([[np.nan, 2.0], [3.0, 4.0]]),
-         "x": float("inf"), "y": float("nan"), "s": "text"},
-        {"nested": {"deep": {"rows": [{"n": 1, "v": 0.5}, {"n": 2, "v": np.float64(-0.0)}],
-                             "arr": np.array([[1.0], [2.0]], dtype=np.float32)},
-                    "list": [np.array([1.0, 2.0]), (3, 4.5)], "empty": {}}},
+        ({}, {}),
+        ({"a": np.array([0.1, -2.5, 1e-300, 3.0]), "b": {"c": np.arange(6.0).reshape(2, 3)}},
+         {"a": [0.1, -2.5, 1e-300, 3.0], "b": {"c": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]}}),
+        ({"empty": np.array([]), "empty2d": np.zeros((2, 0)), "scalar": np.float64(0.25),
+          "count": np.int64(7), "zero_d": np.array(1.5), "none": None, "flag": True},
+         {"empty": [], "empty2d": [[], []], "scalar": 0.25, "count": 7, "zero_d": 1.5,
+          "none": None, "flag": True}),
+        ({"inf": np.array([1.0, np.inf]), "nan": np.array([[np.nan, 2.0], [3.0, 4.0]]),
+          "x": float("inf"), "y": float("nan"), "s": "text"},
+         {"inf": [1.0, "inf"], "nan": [["nan", 2.0], [3.0, 4.0]], "x": "inf", "y": "nan",
+          "s": "text"}),
+        ({"nested": {"deep": {"rows": [{"n": 1, "v": 0.5}, {"n": 2, "v": np.float64(-0.0)}],
+                              "arr": np.array([[1.0], [2.0]], dtype=np.float32)},
+                     "list": [np.array([1.0, 2.0]), (3, 4.5)], "empty": {}}},
+         {"nested": {"deep": {"rows": [{"n": 1, "v": 0.5}, {"n": 2, "v": -0.0}],
+                              "arr": [[1.0], [2.0]]},
+                     "list": [[1.0, 2.0], [3, 4.5]], "empty": {}}}),
     ],
+    ids=[f"payload{i}" for i in range(5)],
 )
-def test_report_writer_matches_json_dumps(payload):
-    from schrobridge.cli import _dumps, _jsonable
+def test_report_writer_matches_json_dumps(payload, plain):
+    from schrobridge.cli import _dumps
 
-    assert _dumps(payload) == json.dumps(_jsonable(payload), sort_keys=True, indent=2)
+    assert _dumps(payload) == json.dumps(plain, sort_keys=True, indent=2)
 
 
 def test_check_csv_bundle_input(tmp_path):
@@ -296,15 +305,100 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["check", "--moment-U", "{file}"], '["a", 1.0]'),
         (["check", "--domination-witness", "{file}"], '{"K": [0], "c": [1.0]}'),
         (["check", "--moment-r", "0.5"], None),
+        # options the chosen path would not read
+        (["solve", "--scheme", "untruncated", "--U", "{file}"], "[1.0, 1.0]"),
+        (["solve", "--scheme", "sinkhorn", "--U", "{file}"], "[1.0, 1.0]"),
+        (["check", "--input", "{triple}", "--moment-U", "{file}"], "[1.0, 1.0]"),
+        (["check", "--input", "{triple}", "--domination-witness", "{file}"],
+         '{"K": [0], "x": [0], "c": [1.0]}'),
+        # witness values
+        (["check", "--domination-witness", "{file}"], '{"K": [0], "x": [5], "c": [1.0]}'),
+        (["check", "--domination-witness", "{file}"], '{"K": [-1], "x": [-2], "c": [1.0]}'),
+        (["check", "--domination-witness", "{file}"], '{"K": [0], "x": [0], "c": [-1.0]}'),
+        # grids and guards
+        (["check", "--input", "{triple}", "--points-per-dim", "4"], None),
+        (["gaussian-gen", "--input", "{triple}", "--points-per-dim", "4"], None),
+        (["check", "--input", "{triple}", "--half-width-sigmas", "-1"], None),
+        (["gaussian-gen", "--input", "{triple}", "--half-width-sigmas", "-1"], None),
+        (["check", "--input", "{triple2d}", "--points-per-dim", "1001"], None),
+        (["gaussian-gen", "--input", "{triple2d}", "--points-per-dim", "1001"], None),
+        (["check", "--finite-guard", "nan"], None),
+        (["compare", "--gap-tol", "nan"], None),
+        (["compare", "--gap-tol", "-1"], None),
+        (["solve", "--tol", "nan"], None),
+        (["report", "--input", "{file}"], b'["\xff"]'),
     ],
     ids=["U-zero", "U-nan", "U-string", "moment-U-zero", "moment-U-string",
-         "witness-without-x", "moment-r-half"],
+         "witness-without-x", "moment-r-half", "U-untruncated", "U-sinkhorn",
+         "moment-U-gaussian", "witness-gaussian", "witness-index-past-end",
+         "witness-index-negative", "witness-coefficient-negative", "check-points-even",
+         "gen-points-even", "check-half-width-negative", "gen-half-width-negative",
+         "check-grid-too-large", "gen-grid-too-large", "finite-guard-nan", "gap-tol-nan",
+         "gap-tol-negative", "tol-nan", "report-not-utf8"],
 )
 def test_bad_vector_inputs_exit_one(tmp_path, two_by_two_file, capsys, args, content):
     path = tmp_path / "in.json"
     if content is not None:
-        path.write_text(content)
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    files = {"{file}": str(path), "{triple}": str(tmp_path / "gp.json"),
+             "{triple2d}": str(tmp_path / "gp2.json")}
+    (tmp_path / "gp.json").write_text('{"a": 1.0, "b": 1.0, "c": 1.0}')
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    (tmp_path / "gp2.json").write_text(json.dumps({"a": eye, "b": eye, "c": eye}))
+    # a case's own --input comes later and replaces the 2x2 problem
     argv = [args[0], "--input", two_by_two_file, "--output", str(tmp_path / "r.json")]
-    argv += [a.replace("{file}", str(path)) for a in args[1:]]
+    argv += [files.get(a, a) for a in args[1:]]
     assert main(argv) == 1
     _one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["solve", "--input", "{problem}", "--U", "{bad}"],
+     ["check", "--input", "{problem}", "--domination-witness", "{bad}"],
+     ["report", "--input", "{bad}"]],
+    ids=["U", "witness", "report"],
+)
+def test_malformed_json_names_file_line_and_column(tmp_path, two_by_two_file, capsys, args):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1.0,\n 2.0")
+    argv = [{"{problem}": two_by_two_file, "{bad}": str(bad)}.get(a, a) for a in args]
+    assert main(argv) == 1
+    assert f"{bad}: line 2, column 5: " in _one_error_line(capsys)
+
+
+def test_options_and_defaults_are_pinned():
+    import argparse
+
+    from schrobridge.cli import build_parser
+
+    files = {"--input": "in.json", "--output": None}
+    solver = {"--format": "json", "--max-iter": 100_000, "--U": "ones"}
+    grid = {"--points-per-dim": None, "--half-width-sigmas": 6.0}
+    expected = {
+        "solve": {**files, **solver, "--scheme": "truncated", "--tol": 1e-10, "--trace": False},
+        "check": {**files, **grid, "--format": "json", "--finite-guard": 1e15,
+                  "--domination-witness": None, "--moment-U": None, "--moment-r": 2.0},
+        "compare": {**files, **solver, "--tol": 1e-14, "--gap-tol": 1e-8},
+        "gaussian-gen": {**files, **grid},
+        "report": files,
+    }
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert subparsers.choices.keys() == expected.keys()
+    for command, sub in subparsers.choices.items():
+        args = parser.parse_args([command, "--input", "in.json"])
+        parsed = {opt: getattr(args, action.dest) for action in sub._actions
+                  for opt in action.option_strings if opt not in ("-h", "--help")}
+        assert parsed == expected[command], command
+
+
+def test_gaussian_gen_stdout_equals_output_file(tmp_path, capsys):
+    gp_path = tmp_path / "gp.json"
+    gp_path.write_text(json.dumps({"a": 1.0, "b": 2.0, "c": 1.0}))
+    out = tmp_path / "problem.json"
+    argv = ["gaussian-gen", "--input", str(gp_path), "--points-per-dim", "11"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert main(argv + ["--output", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == stdout

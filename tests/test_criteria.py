@@ -121,6 +121,19 @@ def test_domination_input_validation(two_by_two):
         check_compact_domination(two_by_two, [0], [0], [-1.0])
 
 
+@pytest.mark.parametrize(
+    "K, x, c",
+    [([0], [2], [1.0]), ([2], [0], [1.0]), ([-1], [0], [1.0]), ([0], [-2], [1.0]),
+     ([0], [0], [float("nan")]), ([0], [0], [float("inf")])],
+    ids=["x-past-end", "K-past-end", "K-negative", "x-negative", "c-nan", "c-inf"],
+)
+def test_domination_rejects_indices_off_the_grid_and_bad_coefficients(two_by_two, K, x, c):
+    # a negative index would wrap to the last rows, and a NaN or infinite
+    # coefficient would certify any kernel
+    with pytest.raises(ValueError):
+        check_compact_domination(two_by_two, K, x, c)
+
+
 # ---------------------------------------------------------------------------
 # exponential-moment condition
 # ---------------------------------------------------------------------------
