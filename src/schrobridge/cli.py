@@ -6,7 +6,7 @@ Subcommands::
     check         run the existence criteria, write a criteria report
     compare       fortet vs sinkhorn potentials and couplings
     gaussian-gen  discretize a Gaussian triple into a problem file
-    report        render a JSON report as a table on stdout
+    report        render a JSON report as a table, on stdout or to --output
 
 Exit codes: 0 success / criterion certified / gap within tolerance;
 1 parse or validation failure: a JSON input that does not parse (the
@@ -15,8 +15,9 @@ message names its file, line and column), a ``--tol`` below 4 eps
 not a list of one finite, strictly positive number per x point, a
 ``--U`` file with a scheme other than truncated, a ``--moment-U`` or
 ``--domination-witness`` with a Gaussian triple, a witness without the
-keys K, x and c or with an index outside the x grid or a coefficient
-not finite and positive, a ``--moment-r`` not above 1, a
+keys K, x and c, with an index that is not an integer or lies outside
+the x grid, or with a coefficient not finite and positive, a
+``--moment-r`` not above 1 or without ``--moment-U``, a
 ``--finite-guard`` not positive, a ``--gap-tol`` negative or NaN, and a
 grid with ``--points-per-dim`` not odd and at least 3,
 ``--half-width-sigmas`` not positive, or more points than
@@ -30,7 +31,9 @@ line on stderr; 3 iteration budget exhausted; 4 no checked criterion
 holds; 5 compare gap above tolerance.
 
 Reports are JSON with sorted keys (byte-identical for identical inputs);
-infinities are serialized as the string "inf".  Traces are CSV with
+infinities are serialized as the string "inf".  A solution report holds
+the scalings ``a`` and ``b`` but not the dense coupling, which is
+``a[:, None] * P * b[None, :]``.  Traces are CSV with
 header ``n,min_u,max_u,residual,min_phi,normalization``.
 """
 
@@ -94,8 +97,8 @@ def _dumps(obj, level: int = 0) -> str:
         return float.__repr__(f) if math.isfinite(f) else '"nan"' if math.isnan(f) else '"inf"'
     if isinstance(obj, np.integer):
         return str(int(obj))
-    # generators, not lists: an item (the 19 MB ``pi`` of an 801-point report)
-    # is freed once joined, not held through the copies of the concatenation
+    # generators, not lists: an item (a large array of a report) is freed
+    # once joined, not held through the copies of the concatenation
     if isinstance(obj, dict):
         brackets = "{}"
         items = (f"{json.dumps(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj))
@@ -110,7 +113,10 @@ def _dumps(obj, level: int = 0) -> str:
 
 
 def _write_report(payload: dict, path: str | None) -> None:
-    text = _dumps(payload) + "\n"
+    _write_text(_dumps(payload) + "\n", path)
+
+
+def _write_text(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -231,7 +237,6 @@ def _fill_solution(payload: dict, sol: ft.SchrodingerSolution) -> None:
         {
             "a": sol.a,
             "b": sol.b,
-            "pi": sol.pi,
             "marginal_err_x": sol.marginal_err_x,
             "marginal_err_y": sol.marginal_err_y,
             "rel_entropy": sol.rel_entropy,
@@ -240,6 +245,8 @@ def _fill_solution(payload: dict, sol: ft.SchrodingerSolution) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.moment_r is not None and not args.moment_U:
+        raise ValidationError("--moment-r applies only with --moment-U")
     if args.format == "json":
         obj = _read_json(args.input)
         gaussian = _discretize(args, obj)
@@ -260,7 +267,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             raise ValidationError(f"{path}: bad witness: {exc}") from exc
     moment_U = _load_ceiling(args.moment_U, problem) if args.moment_U else None
     report = crit.full_report(
-        problem, finite_guard=args.finite_guard, moment_U=moment_U, moment_r=args.moment_r
+        problem, finite_guard=args.finite_guard, moment_U=moment_U,
+        moment_r=2.0 if args.moment_r is None else args.moment_r,
     )
     report = replace(report, domination=domination)
     payload = {
@@ -430,8 +438,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
     flatten("", obj)
     width = max((len(k) for k, _ in rows), default=0)
-    for k, v in rows:
-        sys.stdout.write(f"{k.ljust(width)}  {v}\n")
+    _write_text("".join(f"{k.ljust(width)}  {v}\n" for k, v in rows), args.output)
     return EXIT_OK
 
 
@@ -463,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--finite-guard", type=float, default=crit.DIVERGENCE_GUARD)
     p_check.add_argument("--domination-witness", help="JSON file with keys K, x, c")
     p_check.add_argument("--moment-U", help="JSON file with the ceiling vector")
-    p_check.add_argument("--moment-r", type=float, default=2.0)
+    # None, not 2.0, so that an explicit --moment-r without --moment-U is caught
+    p_check.add_argument("--moment-r", type=float)
     p_check.set_defaults(handler=cmd_check)
 
     p_cmp = sub.add_parser("compare", parents=[files, fmt, fortet], help="fortet vs sinkhorn")
@@ -490,7 +498,7 @@ def _check_limits(args: argparse.Namespace) -> None:
         "gap_tol": (lambda v: v >= 0.0, "gap-tol must be a nonnegative number"),
     }
     for dest, (ok, message) in limits.items():
-        if dest in args and not ok(getattr(args, dest)):
+        if getattr(args, dest, None) is not None and not ok(getattr(args, dest)):
             raise ValidationError(message)
 
 

@@ -23,6 +23,7 @@ configurable divergence guard.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +134,22 @@ def check_integral_criterion(
     )
 
 
+def _as_real(v) -> float:
+    """``v`` as a float: a real number, not a bool or a string."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"coefficient {v!r} is not a number")
+    return float(v)
+
+
+def _as_index(i) -> int:
+    """``i`` as an int: an integer or a float without a fractional part."""
+    if isinstance(i, bool) or not (
+        isinstance(i, numbers.Integral) or isinstance(i, numbers.Real) and float(i).is_integer()
+    ):
+        raise ValueError(f"index {i!r} is not an integer")
+    return int(i)
+
+
 def check_compact_domination(
     problem: DiscreteProblem,
     K_indices,
@@ -146,11 +163,13 @@ def check_compact_domination(
     column index is reported.  Continuity of the kernel in x is recorded
     by kernel kind: functional kernels are continuous by construction,
     dense tables are taken on faith.  Raises ValueError for an index outside
-    ``[0, n_x)`` or a coefficient that is not finite and positive.
+    ``[0, n_x)`` or not an integer (a bool, a string or a float with a
+    fractional part), and for a coefficient that is not a finite, positive
+    real number.
     """
-    K_indices = tuple(int(i) for i in K_indices)
-    x_indices = tuple(int(i) for i in x_indices)
-    coefficients = tuple(float(c) for c in coefficients)
+    K_indices = tuple(_as_index(i) for i in K_indices)
+    x_indices = tuple(_as_index(i) for i in x_indices)
+    coefficients = tuple(_as_real(c) for c in coefficients)
     if not K_indices or not x_indices or len(x_indices) != len(coefficients):
         raise ValueError("K nonempty and x_indices/coefficients of equal positive length required")
     if not all(0 <= i < problem.n_x for i in K_indices + x_indices):

@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .extnum import (
     ExtOverflowError,
@@ -458,6 +457,8 @@ def sinkhorn_baseline(
     independent oracle for the Fortet solver; requires a strictly
     positive kernel.
     """
+    from scipy.special import logsumexp
+
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter at least 1")
     P = kernel_matrix(problem)

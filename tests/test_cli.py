@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from schrobridge import save_problem, validate_reduction
+from schrobridge import kernel_matrix, load_problem, save_problem, validate_reduction
 from schrobridge.cli import main
 from schrobridge.gaussian import GaussianProblem, discretize_gaussian
 from conftest import build_dense_problem
@@ -31,6 +34,15 @@ def read(path):
         return json.load(fh)
 
 
+def assert_report_rebuilds_pi(report, problem_path):
+    # a report carries no dense coupling; a P b from its scalings has the marginals
+    assert "pi" not in report
+    problem = load_problem(problem_path)
+    pi = np.asarray(report["a"])[:, None] * kernel_matrix(problem) * np.asarray(report["b"])
+    np.testing.assert_allclose(pi.sum(axis=1), problem.mu.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pi.sum(axis=0), problem.nu.weights, rtol=0, atol=1e-12)
+
+
 def test_solve_two_by_two(tmp_path, two_by_two_file):
     out = tmp_path / "sol.json"
     code = main(["solve", "--input", two_by_two_file, "--output", str(out),
@@ -40,7 +52,17 @@ def test_solve_two_by_two(tmp_path, two_by_two_file):
     assert report["status"] == "converged-positive"
     assert report["marginal_err_x"] <= 1e-12
     assert report["marginal_err_y"] <= 1e-12
-    assert len(report["pi"]) == 2
+    assert_report_rebuilds_pi(report, two_by_two_file)
+
+
+def test_solve_sinkhorn_report_rebuilds_pi(tmp_path, two_by_two_file):
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--input", two_by_two_file, "--output", str(out),
+                 "--scheme", "sinkhorn", "--tol", "1e-12"])
+    assert code == 0
+    report = read(out)
+    assert report["status"] == "converged-positive"
+    assert_report_rebuilds_pi(report, two_by_two_file)
 
 
 def test_solve_reports_are_byte_identical(tmp_path, two_by_two_file):
@@ -196,6 +218,19 @@ def test_report_renders_table(tmp_path, two_by_two_file, capsys):
     assert "converged-positive" in captured
 
 
+def test_report_output_file_equals_stdout(tmp_path, two_by_two_file, capsys):
+    out = tmp_path / "sol.json"
+    main(["solve", "--input", two_by_two_file, "--output", str(out)])
+    capsys.readouterr()
+    assert main(["report", "--input", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    table = tmp_path / "table.txt"
+    assert main(["report", "--input", str(out), "--output", str(table)]) == 0
+    assert capsys.readouterr().out == ""
+    assert table.read_text(encoding="utf-8") == stdout
+    assert "converged-positive" in stdout
+
+
 @pytest.mark.parametrize(
     "payload, plain",
     [
@@ -315,6 +350,13 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["check", "--domination-witness", "{file}"], '{"K": [0], "x": [5], "c": [1.0]}'),
         (["check", "--domination-witness", "{file}"], '{"K": [-1], "x": [-2], "c": [1.0]}'),
         (["check", "--domination-witness", "{file}"], '{"K": [0], "x": [0], "c": [-1.0]}'),
+        (["check", "--domination-witness", "{file}"], '{"K": [0.7], "x": ["1"], "c": [2.0]}'),
+        (["check", "--domination-witness", "{file}"], '{"K": [0], "x": [1.5], "c": [2.0]}'),
+        (["check", "--domination-witness", "{file}"], '{"K": [true], "x": [1], "c": [2.0]}'),
+        (["check", "--domination-witness", "{file}"], '{"K": [0], "x": [1], "c": ["2.0"]}'),
+        # an exponent without the ceiling it belongs to
+        (["check", "--moment-r", "3"], None),
+        (["check", "--input", "{triple}", "--moment-r", "3"], None),
         # grids and guards
         (["check", "--input", "{triple}", "--points-per-dim", "4"], None),
         (["gaussian-gen", "--input", "{triple}", "--points-per-dim", "4"], None),
@@ -331,7 +373,9 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
     ids=["U-zero", "U-nan", "U-string", "moment-U-zero", "moment-U-string",
          "witness-without-x", "moment-r-half", "U-untruncated", "U-sinkhorn",
          "moment-U-gaussian", "witness-gaussian", "witness-index-past-end",
-         "witness-index-negative", "witness-coefficient-negative", "check-points-even",
+         "witness-index-negative", "witness-coefficient-negative", "witness-index-fraction",
+         "witness-index-float-fraction", "witness-index-bool", "witness-coefficient-string",
+         "moment-r-without-U", "moment-r-gaussian", "check-points-even",
          "gen-points-even", "check-half-width-negative", "gen-half-width-negative",
          "check-grid-too-large", "gen-grid-too-large", "finite-guard-nan", "gap-tol-nan",
          "gap-tol-negative", "tol-nan", "report-not-utf8"],
@@ -378,7 +422,7 @@ def test_options_and_defaults_are_pinned():
     expected = {
         "solve": {**files, **solver, "--scheme": "truncated", "--tol": 1e-10, "--trace": False},
         "check": {**files, **grid, "--format": "json", "--finite-guard": 1e15,
-                  "--domination-witness": None, "--moment-U": None, "--moment-r": 2.0},
+                  "--domination-witness": None, "--moment-U": None, "--moment-r": None},
         "compare": {**files, **solver, "--tol": 1e-14, "--gap-tol": 1e-8},
         "gaussian-gen": {**files, **grid},
         "report": files,
@@ -402,3 +446,11 @@ def test_gaussian_gen_stdout_equals_output_file(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert main(argv + ["--output", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == stdout
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # only the Sinkhorn oracle needs scipy.special; importing the CLI must not load it
+    code = "import sys, schrobridge.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.strip() == "False"

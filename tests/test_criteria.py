@@ -124,14 +124,22 @@ def test_domination_input_validation(two_by_two):
 @pytest.mark.parametrize(
     "K, x, c",
     [([0], [2], [1.0]), ([2], [0], [1.0]), ([-1], [0], [1.0]), ([0], [-2], [1.0]),
-     ([0], [0], [float("nan")]), ([0], [0], [float("inf")])],
-    ids=["x-past-end", "K-past-end", "K-negative", "x-negative", "c-nan", "c-inf"],
+     ([0], [0], [float("nan")]), ([0], [0], [float("inf")]),
+     ([0.7], [1], [2.0]), (["1"], [1], [2.0]), ([True], [1], [2.0]), ([0], [1], ["2.0"])],
+    ids=["x-past-end", "K-past-end", "K-negative", "x-negative", "c-nan", "c-inf",
+         "K-fraction", "K-string", "K-bool", "c-string"],
 )
 def test_domination_rejects_indices_off_the_grid_and_bad_coefficients(two_by_two, K, x, c):
     # a negative index would wrap to the last rows, and a NaN or infinite
     # coefficient would certify any kernel
     with pytest.raises(ValueError):
         check_compact_domination(two_by_two, K, x, c)
+
+
+def test_domination_accepts_integral_floats_and_numpy_integers(two_by_two):
+    res = check_compact_domination(two_by_two, [np.int64(0)], [1.0], [np.float64(2.0)])
+    assert res.K_indices == (0,) and res.x_indices == (1,) and res.coefficients == (2.0,)
+    assert all(type(i) is int for i in res.K_indices + res.x_indices)
 
 
 # ---------------------------------------------------------------------------
