@@ -15,6 +15,7 @@ from .problem import (
     DiscreteSpace,
     EvaluationError,
     GaussianKernel,
+    GridTooLarge,
     IrreducibleProblem,
     Marginal,
     ParseError,
@@ -53,12 +54,15 @@ from .fortet import (
 from .criteria import (
     CriteriaReport,
     DIVERGENCE_GUARD,
+    NoScaling,
     PreconditionFailed,
+    ScalingCertificate,
     check_integral_criterion,
     check_compact_domination,
     check_moment_condition,
     check_radial,
     full_report,
+    scaling_certificate,
     suggest_domination_witness,
     sufficient_for_existence,
 )
@@ -66,7 +70,6 @@ from .gaussian import (
     DegenerateBC,
     DimensionMismatch,
     GaussianProblem,
-    GridTooLarge,
     MatrixCriterionResult,
     NotSPD,
     discretize_gaussian,

@@ -13,22 +13,31 @@ Exit codes: 0 success / criterion certified / gap within tolerance;
 message names its file, line and column), a ``--tol`` below 4 eps
 (``fortet.MIN_TOL``) or NaN, a ``--U`` or ``--moment-U`` file that is
 not a list of one finite, strictly positive number per x point, a
-``--U`` file with a scheme other than truncated, a ``--moment-U`` or
-``--domination-witness`` with a Gaussian triple, a witness without the
-keys K, x and c, with an index that is not an integer or lies outside
-the x grid, or with a coefficient not finite and positive, a
-``--moment-r`` not above 1 or without ``--moment-U``, a
-``--finite-guard`` not positive, a ``--gap-tol`` negative or NaN, and a
+``--U`` file or ``--trace`` with a scheme it does not apply to, a
+``--moment-U`` or ``--domination-witness`` with a Gaussian triple, a
+witness without the keys K, x and c, with an index that is not an
+integer or lies outside the x grid, or with a coefficient not finite
+and positive, a ``--moment-r`` not above 1 or without ``--moment-U``, a
+``--finite-guard`` not positive, a ``--gap-tol`` negative or NaN, a
 grid with ``--points-per-dim`` not odd and at least 3,
 ``--half-width-sigmas`` not positive, or more points than
-``gaussian.MAX_GRID_POINTS``; 2 degenerate, divergent or failed solve: a
+``gaussian.MAX_GRID_POINTS``, a kernel larger than
+``problem.MAX_KERNEL_BYTES``, and a problem with no solution: before a
+Fortet run (``solve`` with either Fortet scheme, ``compare``) a kernel
+with a zero entry is checked for a scaling certificate
+(``criteria.scaling_certificate``), and a verified one is refused with
+one ``error:`` line that names the x points S, the y points N(S) they
+reach and the two masses, without iterating or writing a report; 2
+degenerate, divergent or failed solve: a
 divergent run (a step past the overflow guard, under either scheme) is
 written as a report with status "divergent", and a solver error (a
 vanishing or non-finite dual, a violated monotone decrease, a Sinkhorn
 run refused on a kernel with a zero entry, or a ``check --moment-U``
 ceiling small enough to pass the overflow guard) as one ``error:``
 line on stderr; 3 iteration budget exhausted; 4 no checked criterion
-holds; 5 compare gap above tolerance.
+holds; 5 compare gap above tolerance.  A ``check`` of a problem file
+reports the certificate under ``scaling_certificate`` (null when there
+is none) without changing its exit code.
 
 Reports are JSON with sorted keys (byte-identical for identical inputs);
 infinities are serialized as the string "inf".  A solution report holds
@@ -143,6 +152,13 @@ def _load_validated(args: argparse.Namespace) -> DiscreteProblem:
     return validate_reduction(load_problem(args.input, format=args.format))
 
 
+def _refuse_without_scaling(problem: DiscreteProblem) -> None:
+    """Raise :class:`criteria.NoScaling` when a verified certificate shows no scaling exists."""
+    certificate = crit.scaling_certificate(problem)
+    if certificate is not None:
+        raise crit.NoScaling(certificate)
+
+
 def _load_ceiling(path: str, problem: DiscreteProblem) -> np.ndarray:
     """A ceiling from a JSON list: one finite, strictly positive number per x point."""
     obj = _read_json(path)
@@ -177,6 +193,8 @@ def _discretize(args: argparse.Namespace, obj):
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.scheme != "truncated" and args.U != "ones":
         raise ValidationError(f"--U applies to --scheme truncated only, not {args.scheme}")
+    if args.scheme == "sinkhorn" and args.trace:
+        raise ValidationError("--trace applies to the Fortet schemes only, not sinkhorn")
     problem = _load_validated(args)
     payload: dict = {"command": "solve", "scheme": args.scheme}
 
@@ -195,6 +213,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _write_report(payload, args.output)
         return EXIT_OK
 
+    _refuse_without_scaling(problem)
     if args.scheme == "truncated":
         result = ft.solve_fortet(
             problem,
@@ -278,6 +297,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         "boundedness": report.boundedness,
         "sup_kernel": report.sup_kernel,
         "integral": _integral_payload(report.integral),
+        "scaling_certificate": None if report.scaling is None else asdict(report.scaling),
     }
     if report.domination is not None:
         payload["domination"] = {
@@ -346,6 +366,10 @@ def _print_criteria_table(payload: dict) -> None:
         rows.append(("positivity", "holds" if payload["positivity"] else "fails", ""))
         rows.append(("boundedness", "holds" if payload["boundedness"] else "fails",
                      f"sup p = {payload['sup_kernel']:g}"))
+        c = payload["scaling_certificate"]
+        rows.append(("scaling certificate", "none" if c is None else c["kind"],
+                     "" if c is None else f"x {list(c['indices'])} -> y {list(c['reach'])}: "
+                     f"mass {c['mass']:.6g} vs {c['reach_mass']:.6g}"))
     if "matrix_criterion" in payload:
         mc = payload["matrix_criterion"]
         rows.append(("matrix x->y", "holds" if mc["xy_holds"] else "fails",
@@ -378,6 +402,7 @@ def _print_criteria_table(payload: dict) -> None:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     problem = _load_validated(args)
+    _refuse_without_scaling(problem)
     U = None if args.U == "ones" else _load_ceiling(args.U, problem)
     result = ft.solve_fortet(problem, U=U, tol=args.tol, max_iter=args.max_iter)
     failed = result.status != ft.STATUS_CONVERGED

@@ -1,6 +1,6 @@
 """Machine-checkable existence criteria for a discretized problem.
 
-Four checks are provided, each returning a verdict that carries either a
+Five checks are provided, each returning a verdict that carries either a
 witness or the violating index -- never a bare boolean:
 
   * the integral criterion (both directions): finiteness of
@@ -12,7 +12,10 @@ witness or the violating index -- never a bare boolean:
     finiteness of ``max_i [sum_j (P[i,j]/P[x_o,j])^r P[x_o,j] / psi(U)_j
     nu_j] / U_i^r``;
   * radial non-increase: the smallest cutoff L beyond which a sampled
-    radial profile is non-increasing.
+    radial profile is non-increasing;
+  * the scaling certificate: a set of x points whose mass the y points it
+    reaches cannot absorb (Hall's condition), which proves that no
+    scaling of a kernel with zero entries has the marginals.
 
 On a finite grid every sum is finite in exact arithmetic, so criterion
 failure shows up either as a structural infinity (a zero denominator) or
@@ -30,7 +33,13 @@ import numpy as np
 
 from .extnum import INF
 from .fortet import phi, psi
-from .problem import DiscreteProblem, RadialKernel, kernel_matrix
+from .problem import (
+    MARGINAL_MASS_TOL,
+    DiscreteProblem,
+    RadialKernel,
+    ValidationError,
+    kernel_matrix,
+)
 
 #: Sums at or above this are reported as numerically divergent.  Discrete
 #: sums are always finite in exact arithmetic; a well-posed criterion
@@ -92,6 +101,50 @@ class RadialResult:
 
 
 @dataclass(frozen=True)
+class ScalingCertificate:
+    """Proof that no scaling ``a P b`` has the marginals mu and nu.
+
+    ``indices`` is a set S of points on ``side`` (always "x": the set of x
+    points, as in :class:`~schrobridge.problem.IrreducibleProblem`) and
+    ``reach`` is N(S), the y points that S reaches through ``P > 0``;
+    ``mass`` is mu(S) and ``reach_mass`` is nu(N(S)).  ``kind`` is "hall"
+    when mu(S) > nu(N(S)), and "tight" when mu(S) = nu(N(S)) while an x
+    point outside S reaches N(S) too: a coupling with these marginals
+    then puts no mass on that positive entry of P, which a scaling must.
+    The masses were compared normalized, ``mu(S) nu(Y)`` against
+    ``nu(N(S)) mu(X)``, in exact rational arithmetic.
+    """
+
+    kind: str
+    side: str
+    indices: tuple[int, ...]
+    reach: tuple[int, ...]
+    mass: float
+    reach_mass: float
+
+
+class NoScaling(ValidationError):
+    """A verified :class:`ScalingCertificate`: the problem has no solution.
+
+    Shaped like :class:`~schrobridge.problem.IrreducibleProblem`, whose
+    unreachable x point i is the special case S = {i}, N(S) empty.
+    """
+
+    def __init__(self, certificate: ScalingCertificate):
+        c = certificate
+        relation = "more than" if c.kind == "hall" else "exactly"
+        tail = ", which other x points reach too" if c.kind == "tight" else ""
+        super().__init__(
+            f"no scaling exists ({c.kind} certificate): x points {list(c.indices)} carry "
+            f"mass {c.mass!r}, {relation} the mass {c.reach_mass!r} of the y points "
+            f"{list(c.reach)} they reach{tail}"
+        )
+        self.side = c.side
+        self.indices = list(c.indices)
+        self.certificate = c
+
+
+@dataclass(frozen=True)
 class CriteriaReport:
     positivity: bool
     boundedness: bool
@@ -100,6 +153,7 @@ class CriteriaReport:
     domination: CompactDominationResult | None = None
     moment: MomentConditionResult | None = None
     radial: RadialResult | None = None
+    scaling: ScalingCertificate | None = None
 
 
 def _integral_direction(P: np.ndarray, inner_marginal: np.ndarray,
@@ -321,6 +375,165 @@ def check_radial(
     return RadialResult(holds=False, L_found=None)
 
 
+def scaling_certificate(problem: DiscreteProblem) -> ScalingCertificate | None:
+    """A verified proof that no scaling ``a P b`` has the marginals, or None.
+
+    On a finite grid existence depends on the zero pattern of P alone: a
+    scaling exists iff some matrix with exactly that pattern has the
+    marginals mu and nu (Menon 1968; Brualdi 1968), iff no set S of x
+    points has mu(S) > nu(N(S)), or mu(S) = nu(N(S)) while
+    ``P[X \\ S, N(S)]`` has a positive entry.  A positive P has a scaling,
+    so it returns None at once.  Otherwise a maximum flow on the support
+    graph -- source to x_i with capacity mu_i, x_i to y_j uncapped where
+    ``P[i, j] > 0``, y_j to sink with capacity nu_j -- yields a candidate:
+
+    * a flow short of the mass: S is the x side of a minimum cut;
+    * a full flow with an edge (i, j) that carries nothing and lies on no
+      residual cycle: S is what y_j reaches in the residual graph.
+
+    The flow is found in floating point, on the normalized marginals,
+    with residual capacities at or below ``MARGINAL_MASS_TOL`` counted as
+    zero.  The candidate is returned only after an exact check in
+    rational arithmetic, so a certificate is always a proof; a mass that
+    small can hide one, and then None is returned.
+
+    Points without mass are left out, as :func:`validate_reduction`
+    drops them.  An x point with mass and no positive entry, which
+    validation refuses, gives a hall certificate: its S contains the
+    point.
+    """
+    support = kernel_matrix(problem) > 0
+    if support.all():
+        return None
+    mu, nu = problem.mu.weights, problem.nu.weights
+    support &= (mu > 0)[:, None] & (nu > 0)[None, :]
+    S = _certificate_candidate(support, mu / mu.sum(), nu / nu.sum())
+    return None if S is None else _verified_certificate(support, mu, nu, S)
+
+
+def _search(fwd: np.ndarray, bwd: np.ndarray, start_x: np.ndarray, start_y: np.ndarray):
+    """Breadth-first search over x -> y edges where ``fwd`` and y -> x edges where ``bwd``.
+
+    Both are boolean ``(n_x, n_y)`` matrices; the search starts from the
+    points marked in ``start_x`` and ``start_y``.  Returns the x and y
+    points reached, the point each was reached from (-1 for a start
+    point), and the y points in the order they were reached.
+    """
+    seen_x, seen_y = start_x.copy(), start_y.copy()
+    from_x = np.full(fwd.shape[0], -1)
+    from_y = np.full(fwd.shape[1], -1)
+    fx, fy = np.flatnonzero(start_x), np.flatnonzero(start_y)
+    order = [fy]
+    while fx.size or fy.size:
+        hit = fwd[fx]
+        ny = np.flatnonzero(hit.any(axis=0) & ~seen_y)
+        if ny.size:
+            from_y[ny] = fx[hit[:, ny].argmax(axis=0)]
+            seen_y[ny] = True
+            order.append(ny)
+        fy = np.concatenate((fy, ny))
+        hit = bwd[:, fy]
+        fx = np.flatnonzero(hit.any(axis=1) & ~seen_x)
+        if fx.size:
+            from_x[fx] = fy[hit[fx].argmax(axis=1)]
+            seen_x[fx] = True
+        fy = fy[:0]
+    return seen_x, seen_y, from_x, from_y, np.concatenate(order)
+
+
+def _augment(flow, free_x, free_y, from_x, from_y, j: int, tol: float) -> None:
+    """Push the bottleneck of the search-tree path source ~> y_j -> sink, if above ``tol``.
+
+    The path enters each of its y points along an uncapped support edge
+    and leaves it, except at y_j, backward along an edge with flow.
+    """
+    path = []
+    bottleneck = free_y[j]
+    y = j
+    while True:
+        i = from_y[y]
+        back = from_x[i]
+        path.append((i, y, back))
+        if back < 0:
+            bottleneck = min(bottleneck, free_x[i])
+            break
+        bottleneck = min(bottleneck, flow[i, back])
+        y = back
+    if bottleneck <= tol:
+        return
+    free_y[j] -= bottleneck
+    for i, y, back in path:
+        flow[i, y] += bottleneck
+        if back < 0:
+            free_x[i] -= bottleneck
+        else:
+            flow[i, back] -= bottleneck
+
+
+def _certificate_candidate(support: np.ndarray, mu: np.ndarray, nu: np.ndarray):
+    """The set S (a boolean mask over x) of a would-be certificate, or None."""
+    tol = MARGINAL_MASS_TOL
+    n_x, n_y = support.shape
+    none_x, none_y = np.zeros(n_x, dtype=bool), np.zeros(n_y, dtype=bool)
+    # a feasible start that is positive on every support edge
+    deg_x, deg_y = np.maximum(support.sum(axis=1), 1), np.maximum(support.sum(axis=0), 1)
+    share = np.minimum((mu / deg_x)[:, None], (nu / deg_y)[None, :])
+    flow = np.where(support, share, 0.0)
+    free_x = mu - flow.sum(axis=1)
+    free_y = nu - flow.sum(axis=0)
+    while True:
+        seen_x, _, from_x, from_y, order = _search(support, flow > tol, free_x > tol, none_y)
+        ends = order[free_y[order] > tol]
+        if not ends.size:
+            break
+        # every path of the search tree is a shortest augmenting path until
+        # it is blocked, so push along each in turn before searching again
+        for j in ends.tolist():
+            _augment(flow, free_x, free_y, from_x, from_y, j, tol)
+    if (free_x > tol).any():
+        return seen_x
+    carries = flow > tol
+    idle = support & ~carries
+    while idle.any():
+        start = none_y.copy()
+        start[np.flatnonzero(idle.any(axis=0))[0]] = True
+        fwd_x, fwd_y = _search(support, carries, none_x, start)[:2]
+        bwd_x, bwd_y = _search(carries, support, none_x, start)[:2]
+        # the strongly connected component of the start point
+        comp_x, comp_y = fwd_x & bwd_x, fwd_y & bwd_y
+        if (idle[:, comp_y] & ~comp_x[:, None]).any():
+            return fwd_x
+        idle[:, comp_y] = False
+    return None
+
+
+def _verified_certificate(support: np.ndarray, mu: np.ndarray, nu: np.ndarray,
+                          S: np.ndarray) -> ScalingCertificate | None:
+    """The certificate that ``S`` makes, checked in exact rational arithmetic, or None."""
+    from fractions import Fraction
+
+    def exact(w: np.ndarray) -> Fraction:
+        return sum(map(Fraction, w.tolist()), Fraction(0))
+
+    reach = support[S].any(axis=0)
+    lhs = exact(mu[S]) * exact(nu)
+    rhs = exact(nu[reach]) * exact(mu)
+    if lhs > rhs:
+        kind = "hall"
+    elif lhs == rhs and support[~S][:, reach].any():
+        kind = "tight"
+    else:
+        return None
+    return ScalingCertificate(
+        kind=kind,
+        side="x",
+        indices=tuple(np.flatnonzero(S).tolist()),
+        reach=tuple(np.flatnonzero(reach).tolist()),
+        mass=math.fsum(mu[S]),
+        reach_mass=math.fsum(nu[reach]),
+    )
+
+
 def full_report(
     problem: DiscreteProblem,
     finite_guard: float = DIVERGENCE_GUARD,
@@ -331,11 +544,13 @@ def full_report(
 ) -> CriteriaReport:
     """Assemble the full criteria report for a problem.
 
-    The domination and moment conditions are evaluated only when the
-    caller supplies a witness (a ``(K_indices, x_indices, coefficients)``
-    triple) or a ceiling; on a finite grid both are vacuously satisfiable
-    and carry no information unless the witness is meaningful.  The
-    radial check runs automatically for radial-kind kernels.
+    The scaling certificate is always sought (see
+    :func:`scaling_certificate`).  The domination and moment conditions
+    are evaluated only when the caller supplies a witness (a
+    ``(K_indices, x_indices, coefficients)`` triple) or a ceiling; on a
+    finite grid both are vacuously satisfiable and carry no information
+    unless the witness is meaningful.  The radial check runs
+    automatically for radial-kind kernels.
     """
     P = kernel_matrix(problem)
     report_kwargs = {}
@@ -357,6 +572,7 @@ def full_report(
         boundedness=bool(np.isfinite(P).all()),
         sup_kernel=float(P.max()),
         integral=check_integral_criterion(problem, finite_guard),
+        scaling=scaling_certificate(problem),
         **report_kwargs,
     )
 

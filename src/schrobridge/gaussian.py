@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import DiscreteProblem, DiscreteSpace, GaussianKernel, Marginal
+from .problem import DiscreteProblem, DiscreteSpace, GaussianKernel, GridTooLarge, Marginal
 
 
 class NotSPD(ValueError):
@@ -41,10 +41,6 @@ class DimensionMismatch(ValueError):
 
 class DegenerateBC(ValueError):
     """The boundary identity needs b != c."""
-
-
-class GridTooLarge(ValueError):
-    """A requested discretization exceeds the point-count cap."""
 
 
 SYMMETRY_TOL = 1e-12

@@ -23,6 +23,9 @@ from typing import Callable
 import numpy as np
 
 MARGINAL_MASS_TOL = 1e-12
+#: Most bytes a kernel evaluation may ask for: the dense matrix, plus the
+#: ``(n_x, n_y, d)`` array of differences a functional kernel builds.
+MAX_KERNEL_BYTES = 2**31
 
 
 class ValidationError(ValueError):
@@ -44,6 +47,10 @@ class IrreducibleProblem(ValidationError):
         super().__init__(message)
         self.side = side
         self.indices = indices
+
+
+class GridTooLarge(ValidationError):
+    """A grid or kernel would need more points or bytes than its cap allows."""
 
 
 class EvaluationError(RuntimeError):
@@ -278,8 +285,17 @@ def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
     """Materialize the kernel on the grid as a dense nonnegative matrix.
 
     The matrix is cached on the problem; callers must not mutate it.
+    Raises :class:`GridTooLarge`, before allocating, when the evaluation
+    would need more than ``MAX_KERNEL_BYTES``.
     """
     if problem._matrix is None:
+        depth = 1 if isinstance(problem.kernel, DenseKernel) else 1 + problem.x_space.dim
+        need = 8 * problem.n_x * problem.n_y * depth
+        if need > MAX_KERNEL_BYTES:
+            raise GridTooLarge(
+                f"a {problem.n_x} x {problem.n_y} kernel needs {need} bytes to evaluate, "
+                f"more than the cap of {MAX_KERNEL_BYTES}"
+            )
         mat = problem.kernel.evaluate(problem.x_space.points, problem.y_space.points)
         if not np.isfinite(mat).all():
             raise EvaluationError("kernel evaluation produced non-finite entries")

@@ -343,6 +343,7 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         # options the chosen path would not read
         (["solve", "--scheme", "untruncated", "--U", "{file}"], "[1.0, 1.0]"),
         (["solve", "--scheme", "sinkhorn", "--U", "{file}"], "[1.0, 1.0]"),
+        (["solve", "--scheme", "sinkhorn", "--trace"], None),
         (["check", "--input", "{triple}", "--moment-U", "{file}"], "[1.0, 1.0]"),
         (["check", "--input", "{triple}", "--domination-witness", "{file}"],
          '{"K": [0], "x": [0], "c": [1.0]}'),
@@ -371,7 +372,7 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["report", "--input", "{file}"], b'["\xff"]'),
     ],
     ids=["U-zero", "U-nan", "U-string", "moment-U-zero", "moment-U-string",
-         "witness-without-x", "moment-r-half", "U-untruncated", "U-sinkhorn",
+         "witness-without-x", "moment-r-half", "U-untruncated", "U-sinkhorn", "trace-sinkhorn",
          "moment-U-gaussian", "witness-gaussian", "witness-index-past-end",
          "witness-index-negative", "witness-coefficient-negative", "witness-index-fraction",
          "witness-index-float-fraction", "witness-index-bool", "witness-coefficient-string",
@@ -448,9 +449,112 @@ def test_gaussian_gen_stdout_equals_output_file(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == stdout
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # only the Sinkhorn oracle needs scipy.special; importing the CLI must not load it
-    code = "import sys, schrobridge.cli; print('scipy.special' in sys.modules)"
+def _loaded_by_cli_import(modules):
+    """Which of ``modules`` a fresh interpreter has loaded after ``import schrobridge.cli``."""
+    code = f"import sys, schrobridge.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # only the Sinkhorn oracle needs scipy.special; importing the CLI must not load it
+    assert _loaded_by_cli_import(["scipy.special"]) == "[]"
+
+
+def test_import_leaves_scipy_optimize_and_fractions_unloaded():
+    # scipy.optimize serves only the witness LP, fractions only the exact
+    # check of a scaling certificate
+    assert _loaded_by_cli_import(["scipy.optimize", "fractions"]) == "[]"
+
+
+INFEASIBLE = {
+    # the two infeasible problems of the benchmark's small batch
+    "triangular": ([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.5, 0.5],
+                   "no scaling exists (tight certificate): x points [1] carry mass 0.5, "
+                   "exactly the mass 0.5 of the y points [1] they reach, which other x points "
+                   "reach too"),
+    "identity": ([[1.0, 0.0], [0.0, 1.0]], [0.7, 0.3], [0.5, 0.5],
+                 "no scaling exists (hall certificate): x points [0] carry mass 0.7, more than "
+                 "the mass 0.5 of the y points [0] they reach"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFEASIBLE))
+@pytest.mark.parametrize("args", [["solve"], ["solve", "--scheme", "untruncated"], ["compare"]],
+                         ids=["truncated", "untruncated", "compare"])
+def test_no_scaling_is_refused_before_iterating(tmp_path, capsys, monkeypatch, name, args):
+    from schrobridge import fortet
+
+    def never(*a, **k):
+        raise AssertionError("the Fortet loop ran on a problem with no solution")
+
+    monkeypatch.setattr(fortet, "_iterate", never)
+    P, mu, nu, message = INFEASIBLE[name]
+    path = tmp_path / "p.json"
+    save_problem(build_dense_problem(P, mu, nu), str(path))
+    out = tmp_path / "r.json"
+    assert main(args + ["--input", str(path), "--output", str(out), "--max-iter", "20000"]) == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_feasible_kernel_with_zero_entry_solves(tmp_path):
+    problem = build_dense_problem([[1.0, 1.0], [0.0, 1.0]], [0.6, 0.4], [0.4, 0.6])
+    path = tmp_path / "p.json"
+    save_problem(problem, str(path))
+    for scheme in ("truncated", "untruncated"):
+        out = tmp_path / f"{scheme}.json"
+        assert main(["solve", "--input", str(path), "--scheme", scheme, "--output", str(out),
+                     "--tol", "1e-12"]) == 0
+        report = read(out)
+        assert report["status"] == "converged-positive"
+        assert_report_rebuilds_pi(report, str(path))
+
+
+@pytest.mark.parametrize("name", ["triangular", "identity", "feasible", "positive"])
+def test_check_reports_the_scaling_certificate(tmp_path, capsys, name):
+    P, mu, nu, _ = INFEASIBLE.get(name, ([[1.0, 1.0], [0.0, 1.0]], [0.6, 0.4], [0.4, 0.6], ""))
+    if name == "positive":
+        P = [[1.0, 2.0], [3.0, 4.0]]
+    path = tmp_path / "p.json"
+    save_problem(build_dense_problem(P, mu, nu), str(path))
+    out = tmp_path / "r.json"
+    # the exit code is that of the criteria, which all fail on a kernel with a zero
+    assert main(["check", "--input", str(path), "--output", str(out)]) == (
+        0 if name == "positive" else 4)
+    cert = read(out)["scaling_certificate"]
+    table = capsys.readouterr().out
+    if name in INFEASIBLE:
+        kind, S, mass, reach_mass = {"triangular": ("tight", 1, 0.5, 0.5),
+                                     "identity": ("hall", 0, 0.7, 0.5)}[name]
+        assert cert == {"kind": kind, "side": "x", "indices": [S], "reach": [S],
+                        "mass": mass, "reach_mass": reach_mass}
+        assert f"scaling certificate  {kind}" in table
+    else:
+        assert cert is None
+        assert "scaling certificate  none" in table
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_kernel_byte_cap_refuses_before_allocating(tmp_path, capsys, monkeypatch, command):
+    from schrobridge import problem as problem_module
+
+    # a 9 x 9 grid: an 81 x 81 kernel of 8-byte floats, plus its (81, 81, 2) differences
+    need = 81 * 81 * 8 * 3
+    gp = tmp_path / "gp.json"
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    gp.write_text(json.dumps({"a": eye, "b": eye, "c": eye}))
+    path = tmp_path / "p.json"
+    assert main(["gaussian-gen", "--input", str(gp), "--points-per-dim", "9",
+                 "--output", str(path)]) == 0
+    out = tmp_path / "r.json"
+    argv = {"check": ["check", "--input", str(gp), "--points-per-dim", "9"],
+            "solve": ["solve", "--input", str(path), "--scheme", "untruncated"]}[command]
+    argv += ["--output", str(out)]
+    monkeypatch.setattr(problem_module, "MAX_KERNEL_BYTES", need - 1)
+    assert main(argv) == 1
+    assert f"needs {need} bytes" in _one_error_line(capsys)
+    assert not out.exists()
+    monkeypatch.setattr(problem_module, "MAX_KERNEL_BYTES", need)
+    assert main(argv) == 0

@@ -1,6 +1,10 @@
 
+from fractions import Fraction
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from schrobridge import (
     DiscreteProblem,
@@ -16,6 +20,7 @@ from schrobridge import (
     kernel_matrix,
     make_radial_kernel,
     psi,
+    scaling_certificate,
     suggest_domination_witness,
     sufficient_for_existence,
     validate_reduction,
@@ -306,3 +311,108 @@ def test_finite_integral_criterion_implies_convergent_solve():
         assert report.xy.finite  # moderate random kernels stay finite
         result = solve_fortet(problem)
         assert result.status == STATUS_CONVERGED
+
+
+# ---------------------------------------------------------------------------
+# scaling certificate
+# ---------------------------------------------------------------------------
+
+
+def brute_force_no_scaling(support, mu, nu):
+    """Every set S of x points against the pattern theorem, in Fraction arithmetic."""
+    mu = [Fraction(v) for v in mu]
+    nu = [Fraction(v) for v in nu]
+    n_x = len(mu)
+    for size in range(1, n_x + 1):
+        for S in combinations(range(n_x), size):
+            reach = support[list(S)].any(axis=0)
+            mass_S = sum(mu[i] for i in S)
+            mass_N = sum(v for v, r in zip(nu, reach) if r)
+            outside = np.delete(support, list(S), axis=0)[:, reach]
+            if mass_S > mass_N or (mass_S == mass_N and outside.any()):
+                return True
+    return False
+
+
+def _dyadic_composition(draw, n):
+    """``n`` positive multiples of 1/16 that sum to 1."""
+    cuts = sorted(draw(st.lists(st.integers(1, 15), min_size=n - 1, max_size=n - 1,
+                                unique=True)))
+    return np.diff([0, *cuts, 16]) / 16.0
+
+
+@st.composite
+def patterned_problems(draw):
+    n_x, n_y = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    cells = draw(st.lists(st.booleans(), min_size=n_x * n_y, max_size=n_x * n_y))
+    support = np.array(cells).reshape(n_x, n_y)
+    assume(support.any(axis=1).all() and support.any(axis=0).all())
+    if draw(st.booleans()):
+        # the marginals of 16 units of mass placed on support entries: Hall's
+        # condition holds, and equality holds whenever units miss an entry
+        edges = np.argwhere(support)
+        units = np.zeros((n_x, n_y))
+        for k in draw(st.lists(st.integers(0, len(edges) - 1), min_size=16, max_size=16)):
+            units[tuple(edges[k])] += 1.0
+        mu, nu = units.sum(axis=1) / 16.0, units.sum(axis=0) / 16.0
+        assume((mu > 0).all() and (nu > 0).all())
+    else:
+        mu, nu = _dyadic_composition(draw, n_x), _dyadic_composition(draw, n_y)
+    values = draw(st.lists(st.sampled_from([0.25, 1.0, 3.0]), min_size=n_x * n_y,
+                           max_size=n_x * n_y))
+    P = np.where(support, np.reshape(values, (n_x, n_y)), 0.0)
+    return support, mu, nu, validate_reduction(build_dense_problem(P, mu, nu))
+
+
+@given(patterned_problems())
+@settings(max_examples=400, deadline=None)
+def test_certificate_exactly_when_brute_force_finds_no_scaling(case):
+    support, mu, nu, problem = case
+    cert = scaling_certificate(problem)
+    assert (cert is not None) == brute_force_no_scaling(support, mu, nu)
+    if cert is not None:
+        S = list(cert.indices)
+        reach = support[S].any(axis=0)
+        assert cert.side == "x" and cert.reach == tuple(np.flatnonzero(reach))
+        assert cert.mass == mu[S].sum() and cert.reach_mass == nu[reach].sum()
+        if cert.kind == "hall":
+            assert cert.mass > cert.reach_mass
+        else:
+            assert cert.kind == "tight" and cert.mass == cert.reach_mass
+            assert np.delete(support, S, axis=0)[:, reach].any()
+
+
+@pytest.mark.parametrize(
+    "P, mu, nu, expected",
+    [
+        # the two infeasible problems of the benchmark's small batch
+        ([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.5, 0.5], ("tight", (1,), (1,))),
+        ([[1.0, 0.0], [0.0, 1.0]], [0.7, 0.3], [0.5, 0.5], ("hall", (0,), (0,))),
+        ([[1.0, 1.0], [0.0, 1.0]], [0.6, 0.4], [0.4, 0.6], None),
+        # feasible, with 1e-13 on entry (0, 1): below the flow's tolerance, so
+        # S = {1} is a candidate; the totals are 3e-13 apart, and only
+        # before normalizing is mu(S) > nu(N(S))
+        ([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5],
+         [(0.5 - 1e-13) * (1 - 3e-13), (0.5 + 1e-13) * (1 - 3e-13)], None),
+        # an x point with mass and no positive entry, before validation
+        ([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5], [0.5, 0.5], ("hall", (0,), ())),
+        # points without mass drop out, as validation drops them
+        ([[0.0, 0.0], [1.0, 1.0]], [0.0, 1.0], [0.5, 0.5], None),
+        ([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], [0.5, 0.5], [0.5, 0.5, 0.0], None),
+    ],
+    ids=["tight", "hall", "feasible-with-zero", "totals-apart", "unreachable-row",
+         "massless-row", "massless-column"],
+)
+def test_certificate_cases(P, mu, nu, expected):
+    cert = scaling_certificate(build_dense_problem(P, mu, nu))
+    assert (cert if cert is None else (cert.kind, cert.indices, cert.reach)) == expected
+
+
+def test_certificate_passes_an_underflowed_gaussian_kernel():
+    # c = 50 at 201 points: 12,210 kernel entries underflow to 0, yet a
+    # scaling exists (the truncated scheme converges on it)
+    gp = GaussianProblem(a=[[1.0]], b=[[1.0]], c=[[50.0]])
+    problem = validate_reduction(discretize_gaussian(gp, points_per_dim=201))
+    assert (kernel_matrix(problem) == 0).sum() == 12210
+    assert scaling_certificate(problem) is None
+    assert full_report(problem).scaling is None
