@@ -115,14 +115,31 @@ class FixedPointResult:
 
 @dataclass
 class SchrodingerSolution:
-    """Measures a, b, the coupling pi = a P b, and diagnostics."""
+    """Measures a, b and diagnostics; the coupling pi = a P b is built on demand.
+
+    ``factors`` is ``(a', P', b')`` with ``pi = a' P' b'``: the scalings
+    and the kernel they were solved on.  It is ``(a, P, b)`` for a solution
+    of the problem itself, and the twisted triple after
+    :func:`untwist_solution`.  ``P'`` is the problem's cached kernel, not a
+    copy, so a solution holds no n_x x n_y array of its own.
+    """
 
     a: np.ndarray
     b: np.ndarray
-    pi: np.ndarray
     marginal_err_x: float
     marginal_err_y: float
     rel_entropy: float
+    factors: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
+
+    def pi_rows(self, rows: slice) -> np.ndarray:
+        """The rows ``rows`` of the coupling ``a' P' b'``, as a new array."""
+        a, P, b = self.factors
+        return a[rows, None] * P[rows] * b[None, :]
+
+    @property
+    def pi(self) -> np.ndarray:
+        """The dense coupling ``a' P' b'``, a new n_x x n_y array on each access."""
+        return self.pi_rows(slice(None))
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +410,40 @@ def solve_untruncated(
 # ---------------------------------------------------------------------------
 
 
-def _relative_entropy(problem: DiscreteProblem, pi: np.ndarray) -> float:
-    ref = (
-        kernel_matrix(problem)
-        * problem.x_space.weights[:, None]
-        * problem.y_space.weights[None, :]
+def _marginals(a: np.ndarray, P: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of ``pi = a P b`` from two matvecs: ``a (P b)`` and ``b (P^T a)``."""
+    return a * (P @ b), b * (P.T @ a)
+
+
+def _solution(problem: DiscreteProblem, a: np.ndarray, b: np.ndarray) -> SchrodingerSolution:
+    """The solution with scalings ``a``, ``b``, rescaled to sum(a) = 1 (pi unchanged).
+
+    The diagnostics need no dense pi.  With row sums ``r`` and column sums
+    ``c`` from :func:`_marginals`, and since
+    ``log(pi_ij / (P_ij wx_i wy_j)) = log(a_i/wx_i) + log(b_j/wy_j)`` on
+    the support of pi, the entropy of pi relative to ``P wx wy`` is
+    ``sum_i r_i log(a_i/wx_i) + sum_j c_j log(b_j/wy_j)``; points that
+    carry no mass add nothing.
+    """
+    s = float(a.sum())
+    a = a / s
+    b = b * s
+    P = kernel_matrix(problem)
+    rows, cols = _marginals(a, P, b)
+
+    def entropy_part(mass: np.ndarray, scaling: np.ndarray, weights: np.ndarray) -> float:
+        on = mass > 0
+        return float(np.dot(mass[on], np.log(scaling[on] / weights[on])))
+
+    return SchrodingerSolution(
+        a=a,
+        b=b,
+        marginal_err_x=float(np.max(np.abs(rows - problem.mu.weights))),
+        marginal_err_y=float(np.max(np.abs(cols - problem.nu.weights))),
+        rel_entropy=entropy_part(rows, a, problem.x_space.weights)
+        + entropy_part(cols, b, problem.y_space.weights),
+        factors=(a, P, b),
     )
-    mask = pi > 0
-    return float(np.sum(pi[mask] * np.log(pi[mask] / ref[mask])))
 
 
 def extract_solution(
@@ -408,11 +451,12 @@ def extract_solution(
     u_star: np.ndarray,
     psi_star: np.ndarray | None = None,
 ) -> SchrodingerSolution:
-    """Build the measures and coupling from a positive finite potential.
+    """Build the measures from a positive finite potential.
 
-    ``a = mu/u``, ``b = nu/psi(u)``, ``pi[i,j] = a_i P[i,j] b_j`` exactly
-    by construction.  The free scale is fixed by normalizing sum(a) = 1,
-    which leaves pi unchanged.
+    ``a = mu/u``, ``b = nu/psi(u)``, and the coupling ``pi[i,j] =
+    a_i P[i,j] b_j`` is exact by construction and built only when
+    :attr:`SchrodingerSolution.pi` is read.  The free scale is fixed by
+    normalizing sum(a) = 1, which leaves pi unchanged.
     """
     u_star = as_ext_array(u_star)
     if (u_star <= 0).any() or np.isinf(u_star).any():
@@ -421,28 +465,33 @@ def extract_solution(
         psi_star = psi(problem, u_star)
     if (psi_star <= 0).any() or np.isinf(psi_star).any():
         raise DegeneratePotential("dual potential must be strictly positive and finite")
-    a = problem.mu.weights / u_star
-    b = problem.nu.weights / psi_star
-    s = float(a.sum())
-    a = a / s
-    b = b * s
-    P = kernel_matrix(problem)
-    pi = a[:, None] * P * b[None, :]
-    err_x = float(np.max(np.abs(pi.sum(axis=1) - problem.mu.weights)))
-    err_y = float(np.max(np.abs(pi.sum(axis=0) - problem.nu.weights)))
-    return SchrodingerSolution(
-        a=a,
-        b=b,
-        pi=pi,
-        marginal_err_x=err_x,
-        marginal_err_y=err_y,
-        rel_entropy=_relative_entropy(problem, pi),
-    )
+    return _solution(problem, problem.mu.weights / u_star, problem.nu.weights / psi_star)
 
 
 def potential_from_solution(problem: DiscreteProblem, solution: SchrodingerSolution) -> np.ndarray:
     """Recover the potential u = mu / a underlying a solution."""
     return problem.mu.weights / solution.a
+
+
+def _logsumexp(t: np.ndarray, axis: int) -> np.ndarray:
+    """``log(sum(exp(t), axis))`` for a finite ``t``, overwriting ``t``.
+
+    Runs the finite path of ``scipy.special.logsumexp`` (scipy 1.17)
+    operation for operation, so the result is bitwise equal to it: split
+    the maxima out of the sum and count them (``m``), exponentiate the
+    rest shifted by the max, sum, and return ``log1p(s/m) + log(m) + max``.
+    scipy's second, unshifted ``log(sum(exp(t)))`` replaces only results
+    that are not finite, which a finite ``t`` of moderate size never gives,
+    so it is left out.
+    """
+    t_max = t.max(axis=axis, keepdims=True)
+    at_max = t == t_max
+    m = np.count_nonzero(at_max, axis=axis, keepdims=True).astype(float)
+    np.putmask(t, at_max, -INF)
+    t -= t_max
+    np.exp(t, out=t)
+    s = t.sum(axis=axis, keepdims=True) / m
+    return (np.log1p(s) + np.log(m) + t_max).squeeze(axis)
 
 
 def sinkhorn_baseline(
@@ -455,24 +504,24 @@ def sinkhorn_baseline(
     Alternates b <- nu / (P^T a) and a <- mu / (P b) in log space until
     both marginal sup-residuals are at most ``tol``.  Serves as the
     independent oracle for the Fortet solver; requires a strictly
-    positive kernel.
+    positive kernel and, like the Fortet solvers, ``tol`` at least
+    ``MIN_TOL``.  Besides the cached kernel it holds ``log P`` and one
+    work array of the same shape.
     """
-    from scipy.special import logsumexp
-
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter at least 1")
+    _check_budget(tol, max_iter)
     P = kernel_matrix(problem)
     if not (P > 0).all():
         raise ValueError("sinkhorn_baseline requires a strictly positive kernel")
     logP = np.log(P)
+    work = np.empty_like(logP)
     logmu = np.log(problem.mu.weights)
     lognu = np.log(problem.nu.weights)
     f = np.zeros(problem.n_x)
-    g = lognu - logsumexp(logP + f[:, None], axis=0)
+    g = lognu - _logsumexp(np.add(logP, f[:, None], out=work), axis=0)
     for it in range(1, max_iter + 1):
-        f = logmu - logsumexp(logP + g[None, :], axis=1)
+        f = logmu - _logsumexp(np.add(logP, g[None, :], out=work), axis=1)
         # rows are exact after the f update; only the column error remains
-        col_log = logsumexp(logP + f[:, None], axis=0)
+        col_log = _logsumexp(np.add(logP, f[:, None], out=work), axis=0)
         col_err = float(np.max(np.abs(np.exp(g + col_log) - problem.nu.weights)))
         if col_err <= tol:
             break
@@ -482,20 +531,7 @@ def sinkhorn_baseline(
             f"sinkhorn did not reach tol={tol:g} in {max_iter} iterations",
             iterations=max_iter,
         )
-    a = np.exp(f)
-    b = np.exp(g)
-    s = float(a.sum())
-    a = a / s
-    b = b * s
-    pi = a[:, None] * P * b[None, :]
-    return SchrodingerSolution(
-        a=a,
-        b=b,
-        pi=pi,
-        marginal_err_x=float(np.max(np.abs(pi.sum(axis=1) - problem.mu.weights))),
-        marginal_err_y=float(np.max(np.abs(pi.sum(axis=0) - problem.nu.weights))),
-        rel_entropy=_relative_entropy(problem, pi),
-    )
+    return _solution(problem, np.exp(f), np.exp(g))
 
 
 # ---------------------------------------------------------------------------
@@ -523,22 +559,22 @@ def untwist_solution(
     """Map a solution of the twisted problem back to the original kernel.
 
     The measures transform by (a, b) -> (alpha * a, beta * b); the
-    coupling is untouched.  The relative entropy is restated against the
-    original reference, which shifts it by the pi-averaged log twists.
+    coupling is untouched, and still built from the twisted factors.  The
+    relative entropy is restated against the original reference, which
+    shifts it by the pi-averaged log twists.
     """
     alpha = _check_positive_finite(alpha, "alpha", solution.a.size)
     beta = _check_positive_finite(beta, "beta", solution.b.size)
     a = alpha * solution.a
     b = beta * solution.b
     s = float(a.sum())
-    rows = solution.pi.sum(axis=1)
-    cols = solution.pi.sum(axis=0)
+    rows, cols = _marginals(*solution.factors)
     shift = float(np.dot(rows, np.log(alpha)) + np.dot(cols, np.log(beta)))
     return SchrodingerSolution(
         a=a / s,
         b=b * s,
-        pi=solution.pi,
         marginal_err_x=solution.marginal_err_x,
         marginal_err_y=solution.marginal_err_y,
         rel_entropy=solution.rel_entropy + shift,
+        factors=solution.factors,
     )

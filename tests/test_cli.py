@@ -183,6 +183,20 @@ def test_compare_gaussian_fixture(tmp_path, gaussian_file):
     assert read(out)["potential_gap"] <= 1e-8
 
 
+@pytest.mark.parametrize("block", [1, 120, 1 << 16])
+def test_coupling_gap_over_row_blocks_equals_dense_gap(gaussian_file, monkeypatch, block):
+    # one row per block, 2 rows with a ragged last block, and one block
+    from schrobridge import extract_solution, sinkhorn_baseline, solve_fortet
+    from schrobridge import cli
+
+    problem = validate_reduction(load_problem(gaussian_file))
+    result = solve_fortet(problem, tol=1e-12)
+    sol_f = extract_solution(problem, result.u_star, psi_star=result.psi_star)
+    sink = sinkhorn_baseline(problem, tol=1e-12)
+    monkeypatch.setattr(cli, "_GAP_BLOCK", block)
+    assert cli._coupling_gap(sol_f, sink) == float(np.max(np.abs(sol_f.pi - sink.pi)))
+
+
 def test_compare_degenerate_exit_two(tmp_path):
     problem = build_dense_problem(
         [[1.0, 1.0], [1e-18, 1e-18]], [0.5, 0.5], [0.5, 0.5]
@@ -449,23 +463,30 @@ def test_gaussian_gen_stdout_equals_output_file(tmp_path, capsys):
     assert out.read_text(encoding="utf-8") == stdout
 
 
-def _loaded_by_cli_import(modules):
-    """Which of ``modules`` a fresh interpreter has loaded after ``import schrobridge.cli``."""
-    code = f"import sys, schrobridge.cli; print([m for m in {modules!r} if m in sys.modules])"
+def _loaded_by_cli(modules, runs=()):
+    """Which of ``modules`` a fresh interpreter has loaded after ``import schrobridge.cli``
+    and one ``cli.main(argv)`` per argv of ``runs``, and the exit codes of those runs."""
+    code = ("import json, sys, schrobridge.cli as cli; "
+            f"codes = [cli.main(argv) for argv in {list(runs)!r}]; "
+            f"print(json.dumps([[m for m in {modules!r} if m in sys.modules], codes]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
-    return out.stdout.strip()
+    return json.loads(out.stdout)
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # only the Sinkhorn oracle needs scipy.special; importing the CLI must not load it
-    assert _loaded_by_cli_import(["scipy.special"]) == "[]"
+def test_import_leaves_scipy_special_unloaded(tmp_path, two_by_two_file):
+    # no CLI path needs scipy.special, the Sinkhorn oracle included: it has
+    # its own log-sum-exp, so neither the import nor a run of it loads scipy
+    runs = [["compare", "--input", two_by_two_file, "--output", str(tmp_path / "c.json")],
+            ["solve", "--scheme", "sinkhorn", "--input", two_by_two_file,
+             "--output", str(tmp_path / "s.json")]]
+    assert _loaded_by_cli(["scipy.special"], runs) == [[], [0, 0]]
 
 
 def test_import_leaves_scipy_optimize_and_fractions_unloaded():
     # scipy.optimize serves only the witness LP, fractions only the exact
     # check of a scaling certificate
-    assert _loaded_by_cli_import(["scipy.optimize", "fractions"]) == "[]"
+    assert _loaded_by_cli(["scipy.optimize", "fractions"]) == [[], []]
 
 
 INFEASIBLE = {

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from schrobridge import (
     DegeneratePotential,
+    GaussianProblem,
     INF,
     MaxIterExceeded,
     NonFiniteIntermediate,
@@ -13,6 +15,7 @@ from schrobridge import (
     STATUS_CONVERGED,
     STATUS_DEGENERATE,
     STATUS_DIVERGENT,
+    discretize_gaussian,
     extract_solution,
     iterate_truncated,
     kernel_matrix,
@@ -267,6 +270,10 @@ def test_solvers_reject_tol_below_machine_precision(two_by_two):
         with pytest.raises(ValueError, match="tol must be at least"):
             solve(two_by_two, tol=1e-16)
         assert solve(two_by_two, tol=MIN_TOL, max_iter=3).iterations == 3
+    # the oracle follows the same rule instead of burning its budget
+    with pytest.raises(ValueError, match="tol must be at least"):
+        sinkhorn_baseline(two_by_two, tol=1e-17)
+    assert sinkhorn_baseline(two_by_two, tol=MIN_TOL).marginal_err_y <= 1e-14
 
 
 @pytest.mark.parametrize("size", [2, 10])
@@ -432,6 +439,126 @@ def test_sinkhorn_requires_positive_kernel():
 def test_sinkhorn_max_iter(two_by_two):
     with pytest.raises(MaxIterExceeded):
         sinkhorn_baseline(two_by_two, tol=1e-15, max_iter=1)
+
+
+# ---------------------------------------------------------------------------
+# coupling on demand, identity diagnostics, the oracle's log-sum-exp
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gaussian_801():
+    """The unit Gaussian on the benchmark's 801-point grid, solved by the truncated scheme."""
+    gp = GaussianProblem(a=[[1.0]], b=[[1.0]], c=[[1.0]])
+    problem = validate_reduction(discretize_gaussian(gp, points_per_dim=801))
+    return problem, solve_fortet(problem, tol=1e-10)
+
+
+def _log_kernels():
+    """Log-kernels to shift: a 51-point Gaussian, a random one, and integer ones with ties."""
+    rng = np.random.default_rng(8)
+    gp = GaussianProblem(a=[[1.0]], b=[[1.0]], c=[[1.0]])
+    yield np.log(kernel_matrix(discretize_gaussian(gp, points_per_dim=51)))
+    yield np.log(rng.uniform(0.05, 3.0, (12, 17)))
+    # every row and column holds several equal maxima
+    yield rng.integers(0, 3, (9, 14)).astype(float)
+    yield np.zeros((4, 6))
+
+
+def test_logsumexp_bitwise_equals_scipy():
+    # the oracle's a and b stay those of scipy.special.logsumexp (checked
+    # against scipy 1.17), bit for bit, on both axes and with tied maxima
+    from scipy.special import logsumexp
+
+    rng = np.random.default_rng(17)
+    for logP in _log_kernels():
+        for axis in (0, 1):
+            n = logP.shape[axis]
+            # integer shifts keep the ties of the integer kernels
+            for shift in (np.zeros(n), rng.integers(-2, 3, n).astype(float),
+                          rng.normal(0.0, 1.0, n), rng.normal(0.0, 30.0, n)):
+                t = logP + (shift[None, :] if axis == 1 else shift[:, None])
+                got = fortet._logsumexp(t.copy(), axis)
+                assert np.array_equal(got, logsumexp(t, axis=axis)), (logP.shape, axis, shift)
+
+
+def test_pi_is_built_bitwise_from_a_and_b(gaussian_1d_small):
+    result = solve_fortet(gaussian_1d_small, tol=1e-10)
+    P = kernel_matrix(gaussian_1d_small)
+    for sol in (extract_solution(gaussian_1d_small, result.u_star, psi_star=result.psi_star),
+                sinkhorn_baseline(gaussian_1d_small, tol=1e-12)):
+        assert np.array_equal(sol.pi, sol.a[:, None] * P * sol.b[None, :])
+        assert sol.factors[1] is P
+
+
+def _dense_diagnostics(problem, pi):
+    """Reference: marginal errors and relative entropy from the dense coupling."""
+    ref = (kernel_matrix(problem) * problem.x_space.weights[:, None]
+           * problem.y_space.weights[None, :])
+    mask = pi > 0
+    return (float(np.max(np.abs(pi.sum(axis=1) - problem.mu.weights))),
+            float(np.max(np.abs(pi.sum(axis=0) - problem.nu.weights))),
+            float(np.sum(pi[mask] * np.log(pi[mask] / ref[mask]))))
+
+
+def _assert_diagnostics_match_dense(problem, sol):
+    # the identities sum n_x or n_y rounded terms, the dense formulas n_x n_y
+    # terms pairwise (about log2(n_x n_y) roundings deep); the terms are
+    # bounded in sum by the quantities below, so both sides agree to
+    # (n_x + n_y) eps times those
+    err_x, err_y, entropy = _dense_diagnostics(problem, sol.pi)
+    eps = np.finfo(float).eps
+    k = (problem.n_x + problem.n_y) * eps
+    assert abs(sol.marginal_err_x - err_x) <= k * float(np.max(problem.mu.weights))
+    assert abs(sol.marginal_err_y - err_y) <= k * float(np.max(problem.nu.weights))
+    a, P, b = sol.factors
+    rows, cols = a * (P @ b), b * (P.T @ a)
+    scale = (float(np.dot(rows, np.abs(np.log(a / problem.x_space.weights))))
+             + float(np.dot(cols, np.abs(np.log(b / problem.y_space.weights)))))
+    assert abs(sol.rel_entropy - entropy) <= k * scale
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_identity_diagnostics_match_dense_formulas(seed):
+    rng = np.random.default_rng(seed)
+    n_x, n_y = rng.integers(2, 40, 2)
+    problem = validate_reduction(random_positive_problem(rng, n_x, n_y, low=1e-3, high=5.0))
+    result = solve_fortet(problem, tol=1e-12)
+    _assert_diagnostics_match_dense(
+        problem, extract_solution(problem, result.u_star, psi_star=result.psi_star))
+    _assert_diagnostics_match_dense(problem, sinkhorn_baseline(problem, tol=1e-12))
+
+
+def test_identity_diagnostics_match_dense_formulas_at_801_points(gaussian_801):
+    problem, result = gaussian_801
+    _assert_diagnostics_match_dense(
+        problem, extract_solution(problem, result.u_star, psi_star=result.psi_star))
+    _assert_diagnostics_match_dense(problem, sinkhorn_baseline(problem, tol=1e-14))
+
+
+def _peak_in_kernels(run, P):
+    """Peak memory ``tracemalloc`` sees during ``run()``, in units of ``P.nbytes``."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / P.nbytes
+    finally:
+        tracemalloc.stop()
+
+
+def test_extraction_and_oracle_hold_no_dense_temporaries(gaussian_801):
+    # tracemalloc sees numpy's buffers; the kernel is cached and scipy.special
+    # imported first, so neither counts.  Extraction needs vectors only; the
+    # oracle holds log P and one work array of its shape
+    import scipy.special  # noqa: F401
+
+    problem, result = gaussian_801
+    P = kernel_matrix(problem)
+    extract = _peak_in_kernels(
+        lambda: extract_solution(problem, result.u_star, psi_star=result.psi_star), P)
+    assert extract < 0.1
+    oracle = _peak_in_kernels(lambda: sinkhorn_baseline(problem, tol=1e-14), P)
+    assert oracle < 2.5
 
 
 # ---------------------------------------------------------------------------
