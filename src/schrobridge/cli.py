@@ -34,10 +34,14 @@ written as a report with status "divergent", and a solver error (a
 vanishing or non-finite dual, a violated monotone decrease, a Sinkhorn
 run refused on a kernel with a zero entry, or a ``check --moment-U``
 ceiling small enough to pass the overflow guard) as one ``error:``
-line on stderr; 3 iteration budget exhausted; 4 no checked criterion
-holds; 5 compare gap above tolerance.  A ``check`` of a problem file
-reports the certificate under ``scaling_certificate`` (null when there
-is none) without changing its exit code.
+line on stderr; 3 iteration budget exhausted; 4 none of the paper's
+sufficient criteria holds (``criteria.sufficient_for_existence``); 5
+compare gap above tolerance.  Each of those criteria needs a strictly
+positive kernel, so a ``check`` of a problem file whose kernel has a
+zero entry always exits 4, even when a solution exists and ``solve``
+finds it.  Such a ``check`` reports the certificate under
+``scaling_certificate`` without changing its exit code; null there means
+that none was found, which is not a proof that a solution exists.
 
 Reports are JSON with sorted keys (byte-identical for identical inputs);
 infinities are serialized as the string "inf".  A solution report holds

@@ -17,7 +17,10 @@ iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
 iterative proportional fitting.  Either starts from a finite, strictly
 positive vector, checked once at entry; ends converged-positive,
 degenerate-zero, max-iter, or divergent (a step past the overflow guard);
-and rejects ``tol`` below ``MIN_TOL``.  A log-domain Sinkhorn solver is
+and rejects ``tol`` below ``MIN_TOL``.  Inside the loop the overflow
+guards and the positivity of ``psi`` are decided by scalar bounds on the
+kernel and the iterate; a vector check runs only when its bound cannot
+rule out a trip (see ``_dual_step``).  A log-domain Sinkhorn solver is
 included as an independent baseline, plus the kernel twisting transform
 ``p -> alpha(x) beta(y) p`` under which the coupling is invariant.
 
@@ -158,17 +161,49 @@ def _dual_step(problem: DiscreteProblem):
     strictly positive once, at entry, so a step is two divisions and two
     BLAS matvecs, bitwise equal to the public maps.  Call it under
     ``np.errstate(over="ignore")``.
+
+    The four overflow guards and the positivity check of ``psi`` are
+    decided by scalar bounds, taken once per kernel (the largest column
+    sum ``C`` and row sum ``R`` of ``P``, its smallest column peak
+    ``p = min_j max_i P_ij``, and the extremes of ``mu`` and ``nu``) and
+    per step (``lo = min u``, ``hi = max u``):
+
+    * ``mu/u <= fl(max mu / lo)`` and ``nu/psi <= fl(max nu / psi_lo)``,
+      as correctly rounded division is monotone;
+    * ``psi <= 2 C max(mu/u)`` and ``phi <= 2 R max(nu/psi)``, as a
+      rounded sum of nonnegative terms is within ``1 + gamma_n`` of the
+      exact one (Higham 2002, section 4.2);
+    * ``psi >= psi_lo = fl(p fl(min mu / hi))``, as such a sum is at least
+      its largest rounded term.
+
+    Only a guard whose bound cannot rule out a trip runs its vector check
+    (:func:`finite_scaled_inverse`, :func:`finite_matvec`, or
+    ``psi > 0``, after which ``psi_lo = min psi``), so every error is
+    raised by the check and with the message of the unbounded chain, and
+    the iterates are bitwise the same.
     """
     P = kernel_matrix(problem)
     PT = P.T
     mu = problem.mu.weights
     nu = problem.nu.weights
+    bound_x = 2.0 * float(np.max(P.sum(axis=0)))  # psi <= bound_x * max(mu/u)
+    bound_y = 2.0 * float(np.max(P.sum(axis=1)))  # phi <= bound_y * max(nu/psi)
+    col_peak = float(np.min(P.max(axis=0)))
+    mu_max, mu_min, nu_max = float(np.max(mu)), float(np.min(mu)), float(np.max(nu))
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
 
     def step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ps = finite_matvec(PT, finite_scaled_inverse(mu, u))
-        if not (ps > 0).all():
-            raise NonFiniteIntermediate(_VANISHED_DUAL)
-        return ps, finite_matvec(P, finite_scaled_inverse(nu, ps))
+        x_max = mu_max / float(lowest(u))
+        x = mu / u if x_max <= OVERFLOW_LIMIT else finite_scaled_inverse(mu, u)
+        ps = PT @ x if bound_x * x_max <= OVERFLOW_LIMIT else finite_matvec(PT, x)
+        ps_lo = col_peak * (mu_min / float(highest(u)))
+        if not ps_lo > 0.0:
+            if not (ps > 0).all():
+                raise NonFiniteIntermediate(_VANISHED_DUAL)
+            ps_lo = float(lowest(ps))
+        y_max = nu_max / ps_lo
+        y = nu / ps if y_max <= OVERFLOW_LIMIT else finite_scaled_inverse(nu, ps)
+        return ps, P @ y if bound_y * y_max <= OVERFLOW_LIMIT else finite_matvec(P, y)
 
     return step
 
@@ -295,7 +330,7 @@ def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
     try:
         ps, ph = step(u)
         while True:
-            min_phi = float(np.min(ph))
+            min_phi = float(np.minimum.reduce(ph))
             if early_exit is None and ceiling is not None and (ph <= ceiling).all():
                 early_exit = n
             if min_phi == 0.0 and check_dichotomy and float(np.max(ph)) != 0.0:
@@ -369,7 +404,7 @@ def solve_fortet(
             raise MonotonicityViolated("monotone decrease of the truncated scheme violated")
         # every iterate lies in [U/n, U]: finite and strictly positive; and
         # u - u_next is |u_next - u| bit for bit, as it is nonnegative
-        return u_next, float(np.max((u - u_next) / u))
+        return u_next, float(np.maximum.reduce((u - u_next) / u))
 
     return _iterate(problem, U.copy(), tol, max_iter, trace, advance=advance,
                     target=lambda phi_u: np.minimum(phi_u, U), scale=lambda u: sup_U,
@@ -398,7 +433,7 @@ def solve_untruncated(
     u = _check_positive_finite(u1, "start u1", problem.n_x).copy()
 
     def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
-        return phi_u, float(np.max(np.abs(phi_u - u) / u))
+        return phi_u, float(np.maximum.reduce(np.abs(phi_u - u) / u))
 
     return _iterate(problem, u, tol, max_iter, trace, advance=advance,
                     target=lambda phi_u: phi_u, scale=lambda u: float(np.max(u)),

@@ -11,6 +11,7 @@ from schrobridge import (
     GaussianProblem,
     INF,
     PreconditionFailed,
+    STATUS_CONVERGED,
     check_integral_criterion,
     check_compact_domination,
     check_moment_condition,
@@ -21,6 +22,7 @@ from schrobridge import (
     make_radial_kernel,
     psi,
     scaling_certificate,
+    solve_fortet,
     suggest_domination_witness,
     sufficient_for_existence,
     validate_reduction,
@@ -301,8 +303,6 @@ def test_finite_integral_criterion_implies_convergent_solve():
     # cross-module property: a strictly positive bounded kernel with a
     # finite integral criterion puts the truncated scheme in its
     # guaranteed-convergence regime
-    from schrobridge import solve_fortet, STATUS_CONVERGED
-
     rng = np.random.default_rng(17)
     for _ in range(5):
         problem = random_positive_problem(rng, int(rng.integers(3, 20)),
@@ -380,6 +380,10 @@ def test_certificate_exactly_when_brute_force_finds_no_scaling(case):
         else:
             assert cert.kind == "tight" and cert.mass == cert.reach_mass
             assert np.delete(support, S, axis=0)[:, reach].any()
+        # with no scaling, some index of the truncated scheme follows its
+        # floor U/n toward 0; while it is held there, each step changes it by
+        # 1/(n+1) relative, far above tol
+        assert solve_fortet(problem, max_iter=500).status != STATUS_CONVERGED
 
 
 @pytest.mark.parametrize(

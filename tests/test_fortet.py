@@ -31,7 +31,14 @@ from schrobridge import (
     validate_reduction,
 )
 from schrobridge import fortet
-from schrobridge.extnum import ExtOverflowError, ext_matvec, scaled_inverse
+from schrobridge.extnum import (
+    OVERFLOW_LIMIT,
+    ExtOverflowError,
+    ext_matvec,
+    finite_matvec,
+    finite_scaled_inverse,
+    scaled_inverse,
+)
 from schrobridge.fortet import MIN_TOL, MonotonicityViolated, _dual_step, potential_from_solution
 from conftest import build_dense_problem, random_positive_problem
 
@@ -742,3 +749,131 @@ def test_solve_fortet_raises_on_monotonicity_violation(two_by_two, monkeypatch):
     with pytest.raises(MonotonicityViolated) as info:
         solve_fortet(two_by_two)
     assert isinstance(info.value, RuntimeError)
+
+
+# ---------------------------------------------------------------------------
+# the dual step's scalar guard bounds against the vector checks
+# ---------------------------------------------------------------------------
+
+
+def _guarded_chain(problem, u):
+    """The dual step with every guard run as a vector check."""
+    P = kernel_matrix(problem)
+    ps = finite_matvec(P.T, finite_scaled_inverse(problem.mu.weights, u))
+    if not (ps > 0).all():
+        raise NonFiniteIntermediate(
+            "dual of a finite potential vanished somewhere; is the problem reduced?"
+        )
+    return ps, finite_matvec(P, finite_scaled_inverse(problem.nu.weights, ps))
+
+
+def _outcome(step, u):
+    try:
+        with np.errstate(over="ignore"):
+            return step(u)
+    except (ExtOverflowError, NonFiniteIntermediate) as exc:
+        return type(exc), str(exc)
+
+
+def _straddling(problem, u, guard, ratio):
+    """``(problem, u)`` rescaled so the guarded quantity sits at ``ratio`` times its limit.
+
+    ``mu/u`` and ``psi`` scale as ``1/s`` and ``nu/psi`` and ``phi`` as
+    ``s`` when ``u`` is scaled by ``s``, so one scale of ``u`` puts any of
+    them at ``ratio * OVERFLOW_LIMIT``.  The smallest positive ``psi`` is
+    put at ``ratio`` times the smallest subnormal by scaling the kernel
+    instead, which also underflows its small entries.  Scales are found in
+    extended precision; a rescaled ``u`` that is not finite and positive
+    is not used.
+    """
+    P = kernel_matrix(problem)
+    mu, nu = problem.mu.weights, problem.nu.weights
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = mu / u.astype(np.longdouble)
+        ps = P.T @ x
+        y = nu / ps
+        ph = P @ y
+        limit = np.longdouble(OVERFLOW_LIMIT) * ratio
+        if guard == "psi>0":
+            scale = np.longdouble(5e-324) * ratio / np.min(ps[ps > 0], initial=np.inf)
+            return build_dense_problem((P * scale).astype(float), mu, nu), u
+        scale = {
+            "mu/u": np.max(x) / limit,
+            "psi": np.max(ps) / limit,
+            "nu/psi": limit / np.max(y),
+            "phi": limit / np.max(ph),
+        }[guard]
+        scaled = (u * scale).astype(float)
+    return problem, scaled if np.isfinite(scaled).all() and (scaled > 0).all() else u
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_x=st.integers(1, 7),
+    n_y=st.integers(1, 7),
+    zero_share=st.sampled_from([0.0, 0.3, 0.6]),
+    reduced=st.booleans(),
+    guard=st.sampled_from([None, "mu/u", "psi", "psi>0", "nu/psi", "phi"]),
+    ratio=st.sampled_from([0.25, 0.5, 0.99, 1.0, 1.01, 2.0, 4.0, 1e8, 1e16]),
+)
+@settings(max_examples=400, deadline=None)
+def test_dual_step_guards_decide_as_the_vector_checks(seed, n_x, n_y, zero_share, reduced,
+                                                       guard, ratio):
+    rng = np.random.default_rng(seed)
+    P = np.exp(rng.uniform(-300.0, 300.0, (n_x, n_y))) * (rng.uniform(size=(n_x, n_y)) >= zero_share)
+    mu = np.exp(rng.uniform(-300.0, 0.0, n_x))
+    nu = np.exp(rng.uniform(-300.0, 0.0, n_y))
+    if reduced:
+        P[np.arange(n_x), np.arange(n_x) % n_y] += 1.0
+        P[np.arange(n_y) % n_x, np.arange(n_y)] += 1.0
+    else:
+        # massless points stay in an unreduced problem
+        mu[rng.uniform(size=n_x) < zero_share / 2] = 0.0
+        nu[rng.uniform(size=n_y) < zero_share / 2] = 0.0
+        mu[rng.integers(n_x)] += 1.0
+        nu[rng.integers(n_y)] += 1.0
+    problem = build_dense_problem(P, mu / mu.sum(), nu / nu.sum())
+    if reduced:
+        problem = validate_reduction(problem)
+    if guard is None:
+        u = np.exp(rng.uniform(-300.0, 300.0, problem.n_x))
+    else:
+        # a narrower spread leaves room to rescale it within the floats
+        problem, u = _straddling(problem, np.exp(rng.uniform(-30.0, 30.0, problem.n_x)),
+                                 guard, ratio)
+
+    fast = _outcome(_dual_step(problem), u)
+    reference = _outcome(lambda v: _guarded_chain(problem, v), u)
+    if isinstance(reference[0], type):
+        assert fast == reference
+    else:
+        assert not isinstance(fast[0], type), fast
+        assert np.array_equal(fast[0], reference[0]) and np.array_equal(fast[1], reference[1])
+
+
+@pytest.fixture(scope="module")
+def hard_gaussian_2d():
+    """The demo's hard 2-D Gaussian on a 31^2 grid, with its ``phi(1)`` ceiling."""
+    gp = GaussianProblem(a=np.diag([0.1, 10.0]), b=np.diag([10.0, 0.1]), c=np.eye(2))
+    problem = validate_reduction(discretize_gaussian(gp, points_per_dim=31))
+    return problem, phi(problem, np.ones(problem.n_x))
+
+
+def test_solvers_take_the_scalar_guards(gaussian_801, hard_gaussian_2d, monkeypatch):
+    # a vector guard that runs fails the solve, so every bound must rule out its trip
+    def refuse(*args):
+        raise AssertionError("a vector guard ran")
+
+    rng = np.random.default_rng(2026)
+    randoms = [random_positive_problem(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+               for _ in range(20)]
+    monkeypatch.setattr(fortet, "finite_scaled_inverse", refuse)
+    monkeypatch.setattr(fortet, "finite_matvec", refuse)
+
+    gauss, _ = gaussian_801
+    hard, ceiling = hard_gaussian_2d
+    assert solve_fortet(gauss).status == STATUS_CONVERGED
+    assert solve_untruncated(gauss).status == STATUS_CONVERGED
+    assert solve_fortet(hard, U=ceiling, tol=1e-5, max_iter=30_000).status == STATUS_CONVERGED
+    for problem in randoms:
+        assert solve_fortet(problem).status == STATUS_CONVERGED
