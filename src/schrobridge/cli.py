@@ -10,7 +10,8 @@ Subcommands::
 
 Exit codes: 0 success / criterion certified / gap within tolerance;
 1 parse or validation failure: a JSON input that does not parse (the
-message names its file, line and column), a ``--tol`` below 4 eps
+message names its file, line and column), a kernel whose values are
+negative or not finite (``problem.EvaluationError``), a ``--tol`` below 4 eps
 (``fortet.MIN_TOL``) or NaN, a ``--U`` or ``--moment-U`` file that is
 not a list of one finite, strictly positive number per x point, a
 ``--U`` file or ``--trace`` with a scheme it does not apply to, a
@@ -46,18 +47,19 @@ that none was found, which is not a proof that a solution exists.
 Reports are JSON with sorted keys (byte-identical for identical inputs);
 infinities are serialized as the string "inf".  A solution report holds
 the scalings ``a`` and ``b`` but not the dense coupling, which is
-``a[:, None] * P * b[None, :]``.  Traces are CSV with
-header ``n,min_u,max_u,residual,min_phi,normalization``.
+``a[:, None] * P * b[None, :]``.  A ``check`` report section holds its
+``criteria`` result's fields by name (``scaling`` as
+``scaling_certificate``, and ``moment`` adds ``U_source``).  Traces are
+CSV headed by the field names of ``fortet.TraceRecord``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 
@@ -67,10 +69,12 @@ from . import gaussian as gs
 from .extnum import ExtOverflowError
 from .problem import (
     DiscreteProblem,
+    EvaluationError,
     ParseError,
     SchemaError,
     ValidationError,
     _read_json,
+    _write_csv,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -84,7 +88,7 @@ EXIT_MAX_ITER = 3
 EXIT_NO_CRITERION = 4
 EXIT_GAP = 5
 
-TRACE_HEADER = ["n", "min_u", "max_u", "residual", "min_phi", "normalization"]
+TRACE_HEADER = [f.name for f in fields(ft.TraceRecord)]
 
 
 def _dumps(obj, level: int = 0) -> str:
@@ -135,21 +139,6 @@ def _write_text(text: str, path: str | None) -> None:
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _write_trace_csv(trace, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for rec in trace:
-            writer.writerow([
-                rec.n,
-                f"{rec.min_u:.17g}",
-                f"{rec.max_u:.17g}",
-                f"{rec.residual:.17g}",
-                f"{rec.min_phi:.17g}",
-                f"{rec.normalization:.17g}",
-            ])
 
 
 def _load_validated(args: argparse.Namespace) -> DiscreteProblem:
@@ -242,7 +231,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.trace:
         payload["trace"] = [asdict(rec) for rec in result.trace]
         if args.output:
-            _write_trace_csv(result.trace, args.output + ".trace.csv")
+            _write_csv(args.output + ".trace.csv", [TRACE_HEADER, *map(astuple, result.trace)])
     if result.status == ft.STATUS_CONVERGED:
         sol = ft.extract_solution(problem, result.u_star, psi_star=result.psi_star)
         _fill_solution(payload, sol)
@@ -294,34 +283,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         moment_r=2.0 if args.moment_r is None else args.moment_r,
     )
     report = replace(report, domination=domination)
-    payload = {
-        "command": "check",
-        "mode": "discrete",
-        "positivity": report.positivity,
-        "boundedness": report.boundedness,
-        "sup_kernel": report.sup_kernel,
-        "integral": _integral_payload(report.integral),
-        "scaling_certificate": None if report.scaling is None else asdict(report.scaling),
-    }
-    if report.domination is not None:
-        payload["domination"] = {
-            "holds": report.domination.holds,
-            "K_indices": list(report.domination.K_indices),
-            "x_indices": list(report.domination.x_indices),
-            "coefficients": list(report.domination.coefficients),
-            "violation_index": report.domination.violation_index,
-            "continuity": report.domination.continuity,
-        }
+    # the certificate goes under its own name, and as null when there is none
+    sections = asdict(report)
+    payload = {"command": "check", "mode": "discrete",
+               "scaling_certificate": sections.pop("scaling"),
+               **{key: value for key, value in sections.items() if value is not None}}
     if report.moment is not None:
-        payload["moment"] = {
-            "holds": report.moment.holds,
-            "c": report.moment.c,
-            "r": report.moment.r,
-            "x_o_index": report.moment.x_o_index,
-            "U_source": args.moment_U,
-        }
-    if report.radial is not None:
-        payload["radial"] = {"holds": report.radial.holds, "L_found": report.radial.L_found}
+        payload["moment"]["U_source"] = args.moment_U
     _print_criteria_table(payload)
     if args.output:
         _write_report(payload, args.output)
@@ -340,28 +308,15 @@ def _check_gaussian(args: argparse.Namespace, gp: gs.GaussianProblem, pts: int,
     payload = {
         "command": "check",
         "mode": "gaussian",
-        "matrix_criterion": {
-            "xy_holds": mc.xy_holds,
-            "yx_holds": mc.yx_holds,
-            "xy_min_eig": mc.xy_min_eig,
-            "yx_min_eig": mc.yx_min_eig,
-        },
+        "matrix_criterion": asdict(mc),
         "discretization": {"points_per_dim": pts, "half_width_sigmas": args.half_width_sigmas},
-        "integral": _integral_payload(integral),
+        "integral": asdict(integral),
     }
     ok = mc.xy_holds or mc.yx_holds or integral.xy.finite or integral.yx.finite
     _print_criteria_table(payload)
     if args.output:
         _write_report(payload, args.output)
     return EXIT_OK if ok else EXIT_NO_CRITERION
-
-
-def _integral_payload(integral: crit.IntegralCriterionResult) -> dict:
-    return {
-        "xy": {"value": integral.xy.value, "finite": integral.xy.finite},
-        "yx": {"value": integral.yx.value, "finite": integral.yx.finite},
-        "guard": integral.guard,
-    }
 
 
 def _print_criteria_table(payload: dict) -> None:
@@ -552,7 +507,7 @@ def main(argv=None) -> int:
     try:
         _check_limits(args)
         return args.handler(args)
-    except (ParseError, ValidationError, OSError) as exc:
+    except (ParseError, ValidationError, EvaluationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except (ft.NonFiniteIntermediate, ft.MonotonicityViolated, ExtOverflowError) as exc:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extnum import INF
+from .extnum import INF, OVERFLOW_LIMIT
 from .fortet import phi, psi
 from .problem import (
     MARGINAL_MASS_TOL,
@@ -341,7 +341,7 @@ def check_moment_condition(
     if np.isnan(c_val):
         c_val = INF
     return MomentConditionResult(
-        holds=bool(np.isfinite(c_val) and c_val < 1e300),
+        holds=bool(np.isfinite(c_val) and c_val < OVERFLOW_LIMIT),
         c=float(c_val),
         r=float(r),
         x_o_index=int(x_o_index),
@@ -540,7 +540,6 @@ def full_report(
     domination_witness: tuple | None = None,
     moment_U: np.ndarray | None = None,
     moment_r: float = 2.0,
-    radial_candidates=None,
 ) -> CriteriaReport:
     """Assemble the full criteria report for a problem.
 
@@ -550,7 +549,9 @@ def full_report(
     ``(K_indices, x_indices, coefficients)`` triple) or a ceiling; on a
     finite grid both are vacuously satisfiable and carry no information
     unless the witness is meaningful.  The radial check runs
-    automatically for radial-kind kernels.
+    automatically for radial-kind kernels, on 512 samples of the profile
+    and 101 candidate cutoffs up to the largest distance on the grid; a
+    profile that underflows to 0 there fails it, with no cutoff found.
     """
     P = kernel_matrix(problem)
     report_kwargs = {}
@@ -563,10 +564,12 @@ def full_report(
         diffs = problem.x_space.points[:, None, :] - problem.y_space.points[None, :, :]
         t_max = float(np.sqrt((diffs * diffs).sum(axis=2)).max())
         t = np.linspace(0.0, max(t_max, 1.0), 512)
-        theta = np.asarray(problem.kernel.profile(t), dtype=float)
-        if radial_candidates is None:
-            radial_candidates = np.linspace(0.0, max(t_max, 1.0), 101)
-        report_kwargs["radial"] = check_radial(t, theta, radial_candidates)
+        with np.errstate(all="ignore"):
+            theta = np.asarray(problem.kernel.profile(t), dtype=float)
+        report_kwargs["radial"] = (
+            check_radial(t, theta, np.linspace(0.0, max(t_max, 1.0), 101))
+            if (theta > 0).all() else RadialResult(holds=False, L_found=None)
+        )
     return CriteriaReport(
         positivity=bool((P > 0).all()),
         boundedness=bool(np.isfinite(P).all()),

@@ -301,7 +301,7 @@ def _check_positive_finite(vec: np.ndarray, name: str, size: int) -> np.ndarray:
 
 
 def _check_budget(tol: float, max_iter: int) -> None:
-    if tol < MIN_TOL or max_iter < 1:
+    if not tol >= MIN_TOL or max_iter < 1:  # NaN included
         raise ValueError(f"tol must be at least {MIN_TOL:.3g} and max_iter at least 1")
 
 

@@ -232,7 +232,6 @@ def discretize_gaussian(
     gp: GaussianProblem,
     half_width_sigmas: float = 6.0,
     points_per_dim: int = 201,
-    max_points: int = MAX_GRID_POINTS,
 ) -> DiscreteProblem:
     """Realize a Gaussian triple on uniform tensor grids.
 
@@ -247,8 +246,8 @@ def discretize_gaussian(
     if not half_width_sigmas > 0:
         raise ValueError("half_width_sigmas must be positive")
     total = points_per_dim**gp.dim
-    if total > max_points:
-        raise GridTooLarge(f"{total} grid points exceed the cap of {max_points}")
+    if total > MAX_GRID_POINTS:
+        raise GridTooLarge(f"{total} grid points exceed the cap of {MAX_GRID_POINTS}")
 
     x_points, x_cell = _tensor_grid(gp.a, half_width_sigmas, points_per_dim)
     y_points, y_cell = _tensor_grid(gp.b, half_width_sigmas, points_per_dim)

@@ -14,8 +14,10 @@ Problems are immutable after validation and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -171,7 +173,8 @@ class RadialKernel:
     def evaluate(self, x_points: np.ndarray, y_points: np.ndarray) -> np.ndarray:
         diff = x_points[:, None, :] - y_points[None, :, :]
         r = np.sqrt((diff * diff).sum(axis=2))
-        vals = np.asarray(self.profile(r), dtype=float)
+        with np.errstate(all="ignore"):  # a steep profile is refused below, not warned about
+            vals = np.asarray(self.profile(r), dtype=float)
         if vals.shape != r.shape:
             raise EvaluationError("radial profile must evaluate elementwise")
         if not np.isfinite(vals).all() or (vals < 0).any():
@@ -223,13 +226,33 @@ RADIAL_PROFILES: dict[str, Callable[..., Callable]] = {
 }
 
 
+def _is_finite_number(value) -> bool:
+    """True for a finite real number that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 def make_radial_kernel(name: str, cutoff: float = 0.0, **params) -> RadialKernel:
-    """Build a registry radial kernel that round-trips through JSON."""
-    if name not in RADIAL_PROFILES:
+    """Build a registry radial kernel that round-trips through JSON.
+
+    Raises :class:`SchemaError` for an unknown profile, a cutoff that is
+    not a finite number, and a parameter the profile does not take or
+    that is not a finite positive number.
+    """
+    if not (isinstance(name, str) and name in RADIAL_PROFILES):
         raise SchemaError(f"unknown radial profile {name!r}; known: {sorted(RADIAL_PROFILES)}")
+    if not _is_finite_number(cutoff):
+        raise SchemaError(f"radial cutoff must be a finite number, not {cutoff!r}")
+    known = inspect.signature(RADIAL_PROFILES[name]).parameters
+    for key, value in params.items():
+        if key not in known:
+            raise SchemaError(f"radial profile {name!r} takes no parameter {key!r}; "
+                              f"known: {sorted(known)}")
+        if not (_is_finite_number(value) and value > 0):
+            raise SchemaError(f"radial profile parameter {key!r} must be a finite positive "
+                              f"number, not {value!r}")
     return RadialKernel(
         profile=RADIAL_PROFILES[name](**params),
-        cutoff=cutoff,
+        cutoff=float(cutoff),
         profile_name=name,
         profile_params=dict(params),
     )
@@ -362,13 +385,18 @@ def validate_reduction(problem: DiscreteProblem) -> DiscreteProblem:
 
 
 def _require(mapping: dict, key: str, where: str):
+    if not isinstance(mapping, dict):
+        raise SchemaError(f"{where} must be a JSON object")
     if key not in mapping:
         raise SchemaError(f"missing field {key!r} in {where}")
     return mapping[key]
 
 
 def _finite_floats(obj, where: str) -> np.ndarray:
-    arr = np.asarray(obj, dtype=float)
+    try:
+        arr = np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where} must be numbers in lists of equal length") from exc
     if not np.isfinite(arr).all():
         raise SchemaError(f"non-finite value in {where}; 'inf' is not legal in problem inputs")
     return arr
@@ -416,7 +444,9 @@ def _kernel_from_dict(obj: dict) -> Kernel:
         prof = _require(obj, "profile", "kernel")
         name = _require(prof, "name", "kernel.profile")
         params = prof.get("params", {})
-        return make_radial_kernel(name, cutoff=float(obj.get("cutoff", 0.0)), **params)
+        if not isinstance(params, dict):
+            raise SchemaError("kernel.profile.params must be a JSON object")
+        return make_radial_kernel(name, cutoff=obj.get("cutoff", 0.0), **params)
     raise SchemaError(f"unknown kernel kind {kind!r}")
 
 

@@ -579,3 +579,164 @@ def test_kernel_byte_cap_refuses_before_allocating(tmp_path, capsys, monkeypatch
     assert not out.exists()
     monkeypatch.setattr(problem_module, "MAX_KERNEL_BYTES", need)
     assert main(argv) == 0
+
+
+_INTEGRAL_2X2 = {"guard": 1e15, "xy": {"finite": True, "value": 0.41666666666666663},
+                 "yx": {"finite": True, "value": 0.47619047619047616}}
+_TABLE_2X2 = ["positivity           holds",
+              "boundedness          holds       sup p = 4",
+              "scaling certificate  none",
+              "integral x->y        finite      value = 0.416667",
+              "integral y->x        finite      value = 0.47619"]
+_DISCRETE_2X2 = {"command": "check", "mode": "discrete", "positivity": True,
+                 "boundedness": True, "sup_kernel": 4.0, "integral": _INTEGRAL_2X2,
+                 "scaling_certificate": None}
+_CHECK_CASES = {
+    "witness-holds": (
+        ["--input", "{p}", "--domination-witness", "{w}"], '{"K": [0], "x": [1], "c": [1.0]}', 0,
+        {**_DISCRETE_2X2, "domination": {
+            "holds": True, "K_indices": [0], "x_indices": [1], "coefficients": [1.0],
+            "violation_index": None, "continuity": "asserted-not-checked"}},
+        _TABLE_2X2 + ["compact domination   holds"]),
+    "witness-fails": (
+        ["--input", "{p}", "--domination-witness", "{w}"], '{"K": [1], "x": [0], "c": [1.0]}', 0,
+        {**_DISCRETE_2X2, "domination": {
+            "holds": False, "K_indices": [1], "x_indices": [0], "coefficients": [1.0],
+            "violation_index": 0, "continuity": "asserted-not-checked"}},
+        _TABLE_2X2 + ["compact domination   fails       violated at column 0"]),
+    "moment": (
+        ["--input", "{p}", "--moment-U", "{w}", "--moment-r", "3"], "[1.0, 1.0]", 0,
+        {**_DISCRETE_2X2, "moment": {"holds": True, "c": 9.416666666666666, "r": 3.0,
+                                     "x_o_index": 0, "U_source": "{w}"}},
+        _TABLE_2X2 + ["moment condition     holds       c = 9.41667, r = 3"]),
+    "radial": (
+        ["--input", "{radial}"], None, 0,
+        {**_DISCRETE_2X2, "sup_kernel": 1.0, "radial": {"holds": True, "L_found": 0.0},
+         "integral": {"guard": 1e15, "xy": {"finite": True, "value": 1.9096784544567942},
+                      "yx": {"finite": True, "value": 1.9096784544567942}}},
+        ["positivity           holds",
+         "boundedness          holds       sup p = 1",
+         "scaling certificate  none",
+         "integral x->y        finite      value = 1.90968",
+         "integral y->x        finite      value = 1.90968",
+         "radial non-increase  holds       L = 0"]),
+    "hall": (
+        ["--input", "{hall}"], None, 4,
+        {**_DISCRETE_2X2, "positivity": False, "sup_kernel": 1.0,
+         "integral": {"guard": 1e15, "xy": {"finite": True, "value": 2.380952380952381},
+                      "yx": {"finite": True, "value": 2.0}},
+         "scaling_certificate": {"kind": "hall", "side": "x", "indices": [0], "reach": [0],
+                                 "mass": 0.7, "reach_mass": 0.5}},
+        ["positivity           fails",
+         "boundedness          holds       sup p = 1",
+         "scaling certificate  hall        x [0] -> y [0]: mass 0.7 vs 0.5",
+         "integral x->y        finite      value = 2.38095",
+         "integral y->x        finite      value = 2"]),
+    "gaussian": (
+        ["--input", "{w}", "--points-per-dim", "21"], '{"a": 1.0, "b": 1.0, "c": 1.0}', 0,
+        {"command": "check", "mode": "gaussian",
+         "matrix_criterion": {"xy_holds": True, "yx_holds": True,
+                              "xy_min_eig": 0.5, "yx_min_eig": 0.5},
+         "discretization": {"points_per_dim": 21, "half_width_sigmas": 6.0},
+         "integral": {"guard": 1e15, "xy": {"finite": True, "value": 5.013220456901387},
+                      "yx": {"finite": True, "value": 5.013220456901387}}},
+        ["matrix x->y    holds       min eig = 0.5",
+         "matrix y->x    holds       min eig = 0.5",
+         "integral x->y  finite      value = 5.01322",
+         "integral y->x  finite      value = 5.01322"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_CHECK_CASES))
+def test_check_report_and_table_are_pinned(tmp_path, capsys, two_by_two_file, name):
+    # every field of every criteria section, by name and value, and the table
+    # printed from them: renaming a criteria field must fail here
+    from schrobridge import DiscreteProblem, DiscreteSpace, Marginal, make_radial_kernel
+
+    args, content, code, expected, table = _CHECK_CASES[name]
+    files = {"{p}": two_by_two_file, "{w}": str(tmp_path / "in.json"),
+             "{radial}": str(tmp_path / "radial.json"), "{hall}": str(tmp_path / "hall.json")}
+    if content is not None:
+        (tmp_path / "in.json").write_text(content)
+    pts = np.linspace(-1.0, 1.0, 5)
+    save_problem(DiscreteProblem(DiscreteSpace(pts, np.ones(5)), DiscreteSpace(pts, np.ones(5)),
+                                 Marginal(np.full(5, 0.2)), Marginal(np.full(5, 0.2)),
+                                 make_radial_kernel("exponential", rate=1.0)), files["{radial}"])
+    save_problem(build_dense_problem([[1.0, 0.0], [0.0, 1.0]], [0.7, 0.3], [0.5, 0.5]),
+                 files["{hall}"])
+    if "moment" in expected:
+        expected = {**expected, "moment": {**expected["moment"], "U_source": files["{w}"]}}
+    out = tmp_path / "r.json"
+    assert main(["check", *(files.get(a, a) for a in args), "--output", str(out)]) == code
+    assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == "".join(line + "\n" for line in table)
+
+
+def _radial(name, **params):
+    return {"kind": "radial", "profile": {"name": name, "params": params}}
+
+
+_MALFORMED = {
+    "entries-ragged": ("kernel", {"kind": "dense-matrix", "entries": [[1.0, 2.0], [3.0]]}),
+    "entries-strings": ("kernel", {"kind": "dense-matrix", "entries": [["a", "b"], ["c", "d"]]}),
+    "mu-string": ("mu", "abc"),
+    "points-string": ("x_space", {"points": ["a", "b"], "weights": [1.0, 1.0]}),
+    "kernel-list": ("kernel", ["kind"]),
+    "x_space-list": ("x_space", ["points"]),
+    "profile-list": ("kernel", {"kind": "radial", "profile": ["name"]}),
+    "params-unknown": ("kernel", _radial("exponential", scale=1)),
+    "params-string": ("kernel", _radial("exponential", rate="1")),
+    "params-list": ("kernel", {"kind": "radial", "profile": {"name": "gaussian", "params": [1]}}),
+    "cutoff-string": ("kernel", {**_radial("exponential", rate=1), "cutoff": "far"}),
+    "sigma-zero": ("kernel", _radial("gaussian", sigma=0)),
+    "rate-negative": ("kernel", _radial("exponential", rate=-1000)),
+    # positive and finite, but sigma**2 underflows: the profile is 0/0 at 0
+    "sigma-tiny": ("kernel", _radial("gaussian", sigma=1e-200)),
+    # exp(-800) underflows at distance 1: a kernel with zeros, and a
+    # profile sampled down to 0, which the radial check cannot judge
+    "underflow": ("kernel", _radial("exponential", rate=800)),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_malformed_problem_file_exits_with_one_error_line(tmp_path, capsys, name, command):
+    key, value = _MALFORMED[name]
+    space = {"points": [[0.0], [1.0]], "weights": [1.0, 1.0]}
+    doc = {"x_space": space, "y_space": space, "mu": [0.5, 0.5], "nu": [0.5, 0.5],
+           "kernel": {"kind": "dense-matrix", "entries": [[1.0, 2.0], [3.0, 4.0]]}, key: value}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    code = main([command, "--input", str(path), "--output", str(out)])
+    if name != "underflow":
+        assert code == 1
+        _one_error_line(capsys)
+        assert not out.exists()
+    elif command == "solve":
+        assert code == 0
+    else:
+        # the other criteria decide the exit code: 4, as the kernel has zeros
+        assert code == 4
+        assert capsys.readouterr().err == ""
+        report = read(out)
+        assert report["radial"] == {"holds": False, "L_found": None}
+        assert report["positivity"] is False
+
+
+def test_solve_sinkhorn_out_of_budget_exit_three(tmp_path, two_by_two_file):
+    out = tmp_path / "s.json"
+    assert main(["solve", "--input", two_by_two_file, "--scheme", "sinkhorn", "--max-iter", "1",
+                 "--tol", "1e-14", "--output", str(out)]) == 3
+    assert read(out) == {"command": "solve", "scheme": "sinkhorn", "status": "max-iter"}
+
+
+def test_compare_refused_by_the_oracle_exit_two(tmp_path):
+    # Fortet solves a kernel with a zero entry; the Sinkhorn oracle refuses it
+    path = tmp_path / "p.json"
+    save_problem(build_dense_problem([[1.0, 1.0], [0.0, 1.0]], [0.6, 0.4], [0.4, 0.6]), str(path))
+    out = tmp_path / "c.json"
+    assert main(["compare", "--input", str(path), "--output", str(out)]) == 2
+    report = read(out)
+    assert report["fortet_status"] == "converged-positive"
+    assert report["sinkhorn_error"] == "sinkhorn_baseline requires a strictly positive kernel"

@@ -1,4 +1,5 @@
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,8 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from schrobridge import (
     DiscreteProblem,
+    DiscreteSpace,
     GaussianProblem,
     INF,
+    Marginal,
     PreconditionFailed,
     STATUS_CONVERGED,
     check_integral_criterion,
@@ -420,3 +423,24 @@ def test_certificate_passes_an_underflowed_gaussian_kernel():
     assert (kernel_matrix(problem) == 0).sum() == 12210
     assert scaling_certificate(problem) is None
     assert full_report(problem).scaling is None
+
+
+@pytest.mark.parametrize("criterion", ["domination", "moment", "radial"])
+def test_each_supplied_criterion_suffices_alone(two_by_two, criterion):
+    # a guard below both integral values (about 0.42 and 0.48 on the 2x2,
+    # 1.9 on the radial grid) leaves the integral criterion out
+    problem, kwargs = two_by_two, {}
+    if criterion == "domination":
+        kwargs["domination_witness"] = ([0], [1], [1.0])
+    elif criterion == "moment":
+        kwargs["moment_U"] = np.ones(2)
+    else:
+        pts = np.linspace(-1.0, 1.0, 5)
+        problem = DiscreteProblem(DiscreteSpace(pts, np.ones(5)), DiscreteSpace(pts, np.ones(5)),
+                                  Marginal(np.full(5, 0.2)), Marginal(np.full(5, 0.2)),
+                                  make_radial_kernel("exponential", rate=1.0))
+    report = full_report(problem, finite_guard=0.1, **kwargs)
+    assert not report.integral.xy.finite and not report.integral.yx.finite
+    assert getattr(report, criterion).holds
+    assert sufficient_for_existence(report)
+    assert not sufficient_for_existence(replace(report, **{criterion: None}))

@@ -274,12 +274,14 @@ def test_solvers_reject_tol_below_machine_precision(two_by_two):
     # below a few eps the stopping test can sit under rounding noise
     assert MIN_TOL == 4 * np.finfo(float).eps
     for solve in (solve_fortet, solve_untruncated):
-        with pytest.raises(ValueError, match="tol must be at least"):
-            solve(two_by_two, tol=1e-16)
+        for tol in (1e-16, math.nan):
+            with pytest.raises(ValueError, match="tol must be at least"):
+                solve(two_by_two, tol=tol)
         assert solve(two_by_two, tol=MIN_TOL, max_iter=3).iterations == 3
     # the oracle follows the same rule instead of burning its budget
-    with pytest.raises(ValueError, match="tol must be at least"):
-        sinkhorn_baseline(two_by_two, tol=1e-17)
+    for tol in (1e-17, math.nan):
+        with pytest.raises(ValueError, match="tol must be at least"):
+            sinkhorn_baseline(two_by_two, tol=tol)
     assert sinkhorn_baseline(two_by_two, tol=MIN_TOL).marginal_err_y <= 1e-14
 
 
