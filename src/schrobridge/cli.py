@@ -73,6 +73,7 @@ from .problem import (
     ParseError,
     SchemaError,
     ValidationError,
+    _number_array,
     _read_json,
     _write_csv,
     load_problem,
@@ -156,8 +157,8 @@ def _load_ceiling(path: str, problem: DiscreteProblem) -> np.ndarray:
     """A ceiling from a JSON list: one finite, strictly positive number per x point."""
     obj = _read_json(path)
     try:
-        vec = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        vec = _number_array(obj)
+    except ValueError as exc:
         raise ValidationError(f"{path}: a ceiling must be a list of numbers") from exc
     if vec.shape != (problem.n_x,):
         raise ValidationError(f"{path}: a ceiling needs one entry per x point ({problem.n_x})")
@@ -172,7 +173,7 @@ def _discretize(args: argparse.Namespace, obj):
     if not (isinstance(obj, dict) and {"a", "b", "c"} <= obj.keys()):
         return None
     try:
-        gp = gs.GaussianProblem(a=obj["a"], b=obj["b"], c=obj["c"])
+        gp = gs.GaussianProblem(**{k: _number_array(obj[k]) for k in "abc"})
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad gaussian problem: {exc}") from exc
     pts = {1: 201, 2: 31}.get(gp.dim, 11) if args.points_per_dim is None else args.points_per_dim

@@ -309,14 +309,14 @@ def check_moment_condition(
 ) -> MomentConditionResult:
     """Evaluate the exponential-moment condition for a ceiling U.
 
-    First requires psi(U) finite everywhere, then phi(U) finite
-    everywhere (raising :class:`PreconditionFailed` naming the failing
-    part and index), then reports the smallest admissible constant
+    ``U`` must be finite and strictly positive (else
+    :class:`PreconditionFailed` names the first bad index), so psi(U) and
+    phi(U) are finite.  Reports the smallest admissible constant
 
         c = max_i [ sum_j (P[i,j]/P[x_o,j])^r P[x_o,j] psi(U)_j^{-1} nu_j ] / U_i^r
 
-    and holds iff c is finite.  The verdict is invariant under scaling
-    U -> kappa U.
+    under the ``[0, inf]`` rules, and holds iff c is finite.  The verdict
+    is invariant under scaling U -> kappa U.
     """
     if r <= 1.0:
         raise ValueError("r must exceed 1")
@@ -325,21 +325,20 @@ def check_moment_condition(
     if bad_U.any():
         raise PreconditionFailed("psi", int(np.flatnonzero(bad_U)[0]))
     psi_U = psi(problem, U)
-    if not np.isfinite(psi_U).all():
-        raise PreconditionFailed("psi", int(np.flatnonzero(~np.isfinite(psi_U))[0]))
-    phi_U = phi(problem, U, psi_u=psi_U)
-    if not np.isfinite(phi_U).all():
-        raise PreconditionFailed("phi", int(np.flatnonzero(~np.isfinite(phi_U))[0]))
+    phi(problem, U, psi_u=psi_U)  # run for its overflow guard alone
 
     P = kernel_matrix(problem)
+    nu = problem.nu.weights
     base = P[x_o_index, :]
+    off = base == 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ratios = P / base[None, :]
-        weights = base * problem.nu.weights / psi_U
-        sums = (ratios**r) @ weights
-        c_val = np.nanmax(sums / U**r)
-    if np.isnan(c_val):
-        c_val = INF
+        weights = base * nu / psi_U
+        ratios = (P / base) ** r
+        ratios[:, weights == 0.0] = 0.0  # a zero weight annihilates its column, INF included
+        sums = ratios @ weights
+        # a column where the base row vanishes: (P_ij / 0)^r 0 nu_j is INF when P_ij nu_j > 0
+        sums[((P[:, off] > 0.0) & (nu[off] > 0.0)).any(axis=1)] = INF
+        c_val = np.max(np.divide(sums, U**r, out=np.full_like(sums, INF), where=sums < INF))
     return MomentConditionResult(
         holds=bool(np.isfinite(c_val) and c_val < OVERFLOW_LIMIT),
         c=float(c_val),

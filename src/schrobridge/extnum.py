@@ -3,16 +3,13 @@
 The solver's dual quantities may genuinely take the value infinity (a
 structural zero in a potential forces an infinite dual entry) or zero.
 This module fixes one set of conventions for that arithmetic, realized
-on arrays by :func:`scaled_inverse` and :func:`ext_matvec`, the maps used
-at every API boundary:
+on arrays by :func:`scaled_inverse` and :func:`ext_matvec`, the maps behind
+the public ``psi`` and ``phi``:
 
   * the inverse of 0 is INF and the inverse of INF is 0;
   * products ``f * g`` with ``f`` finite obey ``0 * INF == 0`` (the finite
     factor wins);
   * sums are INF as soon as one term is INF.
-
-The ``finite_*`` variants skip the checks on input the caller knows to
-be finite and positive, and keep the overflow guards.
 
 INF is a deliberate, tagged state -- never the by-product of a float
 overflow.  Any *finite* computation whose magnitude would exceed
@@ -59,30 +56,14 @@ def scaled_inverse(f: np.ndarray, s: np.ndarray) -> np.ndarray:
 
     This is the weight vector feeding the dual sums: zero where f is zero
     (even against an infinite inverse), INF where f > 0 and s == 0, and
-    zero where s is INF.
+    zero where s is INF.  A quotient of finite positive operands above
+    ``OVERFLOW_LIMIT`` raises :class:`ExtOverflowError`.
     """
     f = as_ext_array(f, allow_inf=False)
     s = as_ext_array(s)
-    out = np.zeros_like(f)
-    pos = f > 0.0
-    szero = s == 0.0
-    sinf = np.isinf(s)
-    out[pos & szero] = INF
-    rest = pos & ~szero & ~sinf
-    if rest.any():
-        with np.errstate(over="ignore"):
-            out[rest] = finite_scaled_inverse(f[rest], s[rest])
-    return out
-
-
-def finite_scaled_inverse(f: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """``f / s`` for finite nonnegative ``f`` and finite positive ``s``.
-
-    :func:`scaled_inverse` less its checks on the input, which the caller
-    vouches for; the result keeps the overflow guard.
-    """
-    out = f / s
-    if np.max(out, initial=0.0) > OVERFLOW_LIMIT:
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.where(f > 0.0, f / s, 0.0)
+    if np.max(out, where=s > 0.0, initial=0.0) > OVERFLOW_LIMIT:
         raise ExtOverflowError("scaled inversion exceeded the overflow guard")
     return out
 
@@ -92,31 +73,14 @@ def ext_matvec(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     Entries of ``w`` may be INF; the conventions give
     ``out[i] = INF`` exactly when some ``matrix[i, j] > 0`` hits an
-    infinite ``w[j]``, and zero matrix entries annihilate infinities.
+    infinite ``w[j]``, and zero matrix entries annihilate infinities.  A
+    finite part above ``OVERFLOW_LIMIT`` raises :class:`ExtOverflowError`.
     """
     w = as_ext_array(w)
     infm = np.isinf(w)
     with np.errstate(over="ignore"):
-        if infm.any():
-            w_fin = np.where(infm, 0.0, w)
-            out = matrix @ w_fin
-            hit = (matrix[:, infm] > 0.0).any(axis=1)
-            if np.max(out, initial=0.0) > OVERFLOW_LIMIT:
-                raise ExtOverflowError("finite part of extended matvec overflowed")
-            out[hit] = INF
-            return out
-        return finite_matvec(matrix, w)
-
-
-def finite_matvec(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``matrix @ w`` for a finite nonnegative matrix and a finite ``w``.
-
-    :func:`ext_matvec` less its checks on ``w``, which the caller vouches
-    for; the result keeps the overflow guard.  Run it under
-    ``np.errstate(over="ignore")``, as :func:`ext_matvec` does, to have an
-    overflow reported only by :class:`ExtOverflowError`.
-    """
-    out = matrix @ w
+        out = matrix @ np.where(infm, 0.0, w)
     if np.max(out, initial=0.0) > OVERFLOW_LIMIT:
         raise ExtOverflowError("extended matvec overflowed")
+    out[(matrix[:, infm] > 0.0).any(axis=1)] = INF
     return out

@@ -17,12 +17,12 @@ iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
 iterative proportional fitting.  Either starts from a finite, strictly
 positive vector, checked once at entry; ends converged-positive,
 degenerate-zero, max-iter, or divergent (a step past the overflow guard);
-and rejects ``tol`` below ``MIN_TOL``.  Inside the loop the overflow
-guards and the positivity of ``psi`` are decided by scalar bounds on the
-kernel and the iterate; a vector check runs only when its bound cannot
-rule out a trip (see ``_dual_step``).  A log-domain Sinkhorn solver is
-included as an independent baseline, plus the kernel twisting transform
-``p -> alpha(x) beta(y) p`` under which the coupling is invariant.
+and rejects ``tol`` below ``MIN_TOL``.  Inside the loop a step runs as
+two bare BLAS matvecs when scalar bounds on the kernel and the iterate
+rule out every overflow guard and a vanishing ``psi``, and as the public
+``psi`` and ``phi`` otherwise (see ``_dual_step``).  A log-domain Sinkhorn
+solver is included as an independent baseline, plus the kernel twisting
+transform ``p -> alpha(x) beta(y) p`` under which the coupling is invariant.
 
 All maps are pure with respect to the problem; sums inside a map may be
 evaluated in parallel over the output index, while the solver loops are
@@ -42,8 +42,6 @@ from .extnum import (
     OVERFLOW_LIMIT,
     as_ext_array,
     ext_matvec,
-    finite_matvec,
-    finite_scaled_inverse,
     scaled_inverse,
 )
 from .problem import DiscreteProblem, DenseKernel, kernel_matrix
@@ -156,15 +154,13 @@ _VANISHED_DUAL = "dual of a finite potential vanished somewhere; is the problem 
 def _dual_step(problem: DiscreteProblem):
     """``u -> (psi(u), phi(u))`` for a finite, strictly positive ``u``.
 
-    Both schemes and :func:`normalization_check` call this instead of
-    :func:`psi` and :func:`phi`: their potentials are checked finite and
-    strictly positive once, at entry, so a step is two divisions and two
-    BLAS matvecs, bitwise equal to the public maps.  Call it under
-    ``np.errstate(over="ignore")``.
-
-    The four overflow guards and the positivity check of ``psi`` are
-    decided by scalar bounds, taken once per kernel (the largest column
-    sum ``C`` and row sum ``R`` of ``P``, its smallest column peak
+    Both schemes call this instead of :func:`psi` and :func:`phi`: their
+    potentials are checked finite and strictly positive once, at entry.
+    When scalar bounds rule out the four overflow guards and a vanishing
+    ``psi``, a step is two divisions and two BLAS matvecs; otherwise it is
+    :func:`psi` and :func:`phi` themselves, which run every check and
+    raise each error.  The bounds are taken once per kernel (the largest
+    column sum ``C`` and row sum ``R`` of ``P``, its smallest column peak
     ``p = min_j max_i P_ij``, and the extremes of ``mu`` and ``nu``) and
     per step (``lo = min u``, ``hi = max u``):
 
@@ -176,34 +172,28 @@ def _dual_step(problem: DiscreteProblem):
     * ``psi >= psi_lo = fl(p fl(min mu / hi))``, as such a sum is at least
       its largest rounded term.
 
-    Only a guard whose bound cannot rule out a trip runs its vector check
-    (:func:`finite_scaled_inverse`, :func:`finite_matvec`, or
-    ``psi > 0``, after which ``psi_lo = min psi``), so every error is
-    raised by the check and with the message of the unbounded chain, and
-    the iterates are bitwise the same.
+    ``2 C`` and ``2 R`` are clamped to at least 1, so each bound also
+    bounds its own quotient.  The fast path computes what the public maps
+    compute when no check trips, so the iterates are bitwise theirs.
     """
     P = kernel_matrix(problem)
     PT = P.T
     mu = problem.mu.weights
     nu = problem.nu.weights
-    bound_x = 2.0 * float(np.max(P.sum(axis=0)))  # psi <= bound_x * max(mu/u)
-    bound_y = 2.0 * float(np.max(P.sum(axis=1)))  # phi <= bound_y * max(nu/psi)
+    bound_x = max(1.0, 2.0 * float(np.max(P.sum(axis=0))))  # psi <= bound_x * max(mu/u)
+    bound_y = max(1.0, 2.0 * float(np.max(P.sum(axis=1))))  # phi <= bound_y * max(nu/psi)
     col_peak = float(np.min(P.max(axis=0)))
     mu_max, mu_min, nu_max = float(np.max(mu)), float(np.min(mu)), float(np.max(nu))
     lowest, highest = np.minimum.reduce, np.maximum.reduce
 
     def step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x_max = mu_max / float(lowest(u))
-        x = mu / u if x_max <= OVERFLOW_LIMIT else finite_scaled_inverse(mu, u)
-        ps = PT @ x if bound_x * x_max <= OVERFLOW_LIMIT else finite_matvec(PT, x)
         ps_lo = col_peak * (mu_min / float(highest(u)))
-        if not ps_lo > 0.0:
-            if not (ps > 0).all():
-                raise NonFiniteIntermediate(_VANISHED_DUAL)
-            ps_lo = float(lowest(ps))
-        y_max = nu_max / ps_lo
-        y = nu / ps if y_max <= OVERFLOW_LIMIT else finite_scaled_inverse(nu, ps)
-        return ps, P @ y if bound_y * y_max <= OVERFLOW_LIMIT else finite_matvec(P, y)
+        if (ps_lo > 0.0 and bound_x * (mu_max / float(lowest(u))) <= OVERFLOW_LIMIT
+                and bound_y * (nu_max / ps_lo) <= OVERFLOW_LIMIT):
+            ps = PT @ (mu / u)
+            return ps, P @ (nu / ps)
+        ps = psi(problem, u)
+        return ps, phi(problem, u, psi_u=ps)
 
     return step
 
@@ -230,7 +220,6 @@ def phi(problem: DiscreteProblem, u: np.ndarray, psi_u: np.ndarray | None = None
     return ext_matvec(kernel_matrix(problem), scaled_inverse(problem.nu.weights, psi_u))
 
 
-@np.errstate(over="ignore")  # for _dual_step
 def normalization_check(problem: DiscreteProblem, u: np.ndarray) -> float:
     """Return sum_i (phi(u)_i / u_i) mu_i, which equals 1 for positive u.
 
@@ -239,8 +228,7 @@ def normalization_check(problem: DiscreteProblem, u: np.ndarray) -> float:
     validated problem.
     """
     u = _check_positive_finite(u, "potential", problem.n_x)
-    _, ph = _dual_step(problem)(u)
-    return math.fsum((ph / u) * problem.mu.weights)
+    return math.fsum(phi(problem, u) / u * problem.mu.weights)
 
 
 def restricted_normalization(problem: DiscreteProblem, u: np.ndarray) -> tuple[float, float]:
@@ -305,7 +293,7 @@ def _check_budget(tol: float, max_iter: int) -> None:
         raise ValueError(f"tol must be at least {MIN_TOL:.3g} and max_iter at least 1")
 
 
-@np.errstate(over="ignore")  # for _dual_step
+@np.errstate(over="ignore")  # phi/u, up to 1/mu_i, may overflow: rel and the trace read inf
 def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
              degenerate_below, ceiling=None, check_dichotomy=False) -> FixedPointResult:
     """The loop of both schemes, ``u_{n+1} = advance(phi(u_n))`` from ``u_1 = u``.

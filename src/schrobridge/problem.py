@@ -227,8 +227,13 @@ RADIAL_PROFILES: dict[str, Callable[..., Callable]] = {
 
 
 def _is_finite_number(value) -> bool:
-    """True for a finite real number that is not a bool."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    """True for a finite real number that is not a bool; an integer past the float range is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def make_radial_kernel(name: str, cutoff: float = 0.0, **params) -> RadialKernel:
@@ -392,10 +397,30 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _numbers_only(obj) -> bool:
+    """True when every leaf of the nested lists ``obj`` is a real number, not a bool or a string."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype.kind in "iuf"
+    if isinstance(obj, (list, tuple)):
+        return set(map(type, obj)) <= {float, int} or all(map(_numbers_only, obj))
+    return not isinstance(obj, bool) and isinstance(obj, numbers.Real)
+
+
+def _number_array(obj) -> np.ndarray:
+    """``obj`` as a float array; ValueError for a leaf that is no number or an integer
+    past the float range, or for ragged lists."""
+    if not _numbers_only(obj):
+        raise ValueError("expected numbers, not strings or booleans")
+    try:
+        return np.asarray(obj, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _finite_floats(obj, where: str) -> np.ndarray:
     try:
-        arr = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = _number_array(obj)
+    except ValueError as exc:
         raise SchemaError(f"{where} must be numbers in lists of equal length") from exc
     if not np.isfinite(arr).all():
         raise SchemaError(f"non-finite value in {where}; 'inf' is not legal in problem inputs")
@@ -552,6 +577,9 @@ def _float_cell(cell: str, path: str, line: int) -> float:
 
 
 def _load_csv_bundle(dirpath: str) -> DiscreteProblem:
+    """The bundle's problem.  A cell that does not parse, or a ``marginals.csv``
+    space other than ``x`` and ``y``, raises ParseError; a mass index out of
+    range, repeated or missing raises SchemaError; each names the file."""
     spaces = {}
     for sub in ("x", "y"):
         ppath = os.path.join(dirpath, sub, "points.csv")
@@ -565,15 +593,30 @@ def _load_csv_bundle(dirpath: str) -> DiscreteProblem:
         except ValidationError as exc:
             raise SchemaError(f"{dirpath}/{sub}: {exc}") from exc
     mpath = os.path.join(dirpath, "marginals.csv")
-    mu = {}
-    nu = {}
+    masses = {sub: np.full(space.size, np.nan) for sub, space in spaces.items()}  # NaN: unset
     for i, row in enumerate(_read_csv(mpath)):
+        line = i + 1
         if i == 0 and row[0] == "space":
             continue
         if len(row) != 3:
-            raise ParseError(f"{mpath}: line {i + 1}: expected 3 fields")
-        side, idx, w = row[0], int(row[1]), _float_cell(row[2], mpath, i + 1)
-        (mu if side == "x" else nu)[idx] = w
+            raise ParseError(f"{mpath}: line {line}: expected 3 fields")
+        if row[0] not in masses:
+            raise ParseError(f"{mpath}: line {line}: space must be 'x' or 'y', not {row[0]!r}")
+        try:
+            idx = int(row[1])
+        except ValueError as exc:
+            raise ParseError(f"{mpath}: line {line}: bad index {row[1]!r}") from exc
+        w = _float_cell(row[2], mpath, line)
+        side = masses[row[0]]
+        if not 0 <= idx < side.size:
+            raise SchemaError(f"{mpath}: line {line}: index {idx} outside [0, {side.size})")
+        if not np.isnan(side[idx]):
+            raise SchemaError(f"{mpath}: line {line}: index {idx} of space {row[0]!r} repeated")
+        side[idx] = w
+    for sub, side in masses.items():
+        if np.isnan(side).any():
+            raise SchemaError(f"{mpath}: no mass for index {np.argmax(np.isnan(side))} "
+                              f"of space {sub!r}")
     kpath = os.path.join(dirpath, "kernel.csv")
     entries = [[_float_cell(c, kpath, i + 1) for c in row]
                for i, row in enumerate(_read_csv(kpath))]
@@ -581,9 +624,9 @@ def _load_csv_bundle(dirpath: str) -> DiscreteProblem:
         return DiscreteProblem(
             x_space=spaces["x"],
             y_space=spaces["y"],
-            mu=Marginal(np.array([mu[i] for i in range(len(mu))])),
-            nu=Marginal(np.array([nu[j] for j in range(len(nu))])),
+            mu=Marginal(masses["x"]),
+            nu=Marginal(masses["y"]),
             kernel=DenseKernel(np.array(entries)),
         )
-    except (ValidationError, KeyError) as exc:
+    except ValidationError as exc:
         raise SchemaError(f"{dirpath}: {exc}") from exc

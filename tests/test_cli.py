@@ -337,6 +337,19 @@ def test_overflowing_ceiling_reports_divergent_exit_two(tmp_path, two_by_two_fil
     assert "overflow guard" in _one_error_line(capsys)
 
 
+def test_moment_ceiling_on_a_base_row_with_zeros_is_infinite(tmp_path, capsys):
+    # row x_o = 0 of the kernel vanishes in column 1, which row 1 reaches with mass
+    path = tmp_path / "p.json"
+    save_problem(build_dense_problem([[1.0, 0.0], [1.0, 1.0]], [0.5, 0.5], [0.5, 0.5]), str(path))
+    upath = tmp_path / "U.json"
+    upath.write_text("[1.0, 1.0]")
+    out = tmp_path / "r.json"
+    assert main(["check", "--input", str(path), "--moment-U", str(upath),
+                 "--output", str(out)]) == 4
+    assert capsys.readouterr().err == ""
+    assert read(out)["moment"]["c"] == "inf"
+
+
 def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, capsys):
     code = main(["solve", "--input", two_by_two_file, "--tol", "1e-16",
                  "--output", str(tmp_path / "s.json")])
@@ -384,6 +397,10 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["compare", "--gap-tol", "-1"], None),
         (["solve", "--tol", "nan"], None),
         (["report", "--input", "{file}"], b'["\xff"]'),
+        # numbers written as strings or booleans
+        (["solve", "--U", "{file}"], '["1.0", "1.0"]'),
+        (["check", "--moment-U", "{file}"], "[true, true]"),
+        (["check", "--input", "{file}"], '{"a": "1.0", "b": true, "c": 1.0}'),
     ],
     ids=["U-zero", "U-nan", "U-string", "moment-U-zero", "moment-U-string",
          "witness-without-x", "moment-r-half", "U-untruncated", "U-sinkhorn", "trace-sinkhorn",
@@ -393,7 +410,8 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
          "moment-r-without-U", "moment-r-gaussian", "check-points-even",
          "gen-points-even", "check-half-width-negative", "gen-half-width-negative",
          "check-grid-too-large", "gen-grid-too-large", "finite-guard-nan", "gap-tol-nan",
-         "gap-tol-negative", "tol-nan", "report-not-utf8"],
+         "gap-tol-negative", "tol-nan", "report-not-utf8", "U-numeric-strings",
+         "moment-U-bools", "triple-string-and-bool"],
 )
 def test_bad_vector_inputs_exit_one(tmp_path, two_by_two_file, capsys, args, content):
     path = tmp_path / "in.json"
@@ -695,6 +713,15 @@ _MALFORMED = {
     # exp(-800) underflows at distance 1: a kernel with zeros, and a
     # profile sampled down to 0, which the radial check cannot judge
     "underflow": ("kernel", _radial("exponential", rate=800)),
+    # numbers written as strings or booleans, which a float conversion would accept
+    "mu-numeric-strings": ("mu", ["0.5", "0.5"]),
+    "weights-bools": ("x_space", {"points": [[0.0], [1.0]], "weights": [True, True]}),
+    "entries-numeric-strings": ("kernel", {"kind": "dense-matrix",
+                                           "entries": [["1", "2"], ["3", "4"]]}),
+    "c-string": ("kernel", {"kind": "gaussian", "c": "1.0"}),
+    # integers past the float range
+    "mu-huge-int": ("mu", [10**400, 1]),
+    "rate-huge-int": ("kernel", _radial("exponential", rate=10**400)),
 }
 
 
@@ -722,6 +749,36 @@ def test_malformed_problem_file_exits_with_one_error_line(tmp_path, capsys, name
         report = read(out)
         assert report["radial"] == {"holds": False, "L_found": None}
         assert report["positivity"] is False
+
+
+@pytest.mark.parametrize(
+    "line, replacement",
+    [
+        ("x,1,0.5", "x,one,0.5"),
+        ("x,1,0.5", "x,1.0,0.5"),
+        ("x,1,0.5", "x,5,0.5"),
+        ("x,1,0.5", "x,-1,0.5"),
+        ("x,1,0.5", "x,0,0.5"),
+        ("x,1,0.5", None),
+        ("x,1,0.5", "z,1,0.5"),
+        ("y,1,0.5", "X,1,0.5"),
+    ],
+    ids=["index-word", "index-fraction", "index-past-end", "index-negative", "index-repeated",
+         "index-missing", "space-z", "space-upper-x"],
+)
+def test_bad_csv_bundle_marginals_exit_one(tmp_path, capsys, line, replacement):
+    bundle = tmp_path / "bundle"
+    save_problem(build_dense_problem([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5], [0.5, 0.5]),
+                 str(bundle), format="csv-bundle")
+    marginals = bundle / "marginals.csv"
+    rows = marginals.read_text().splitlines()
+    rows = [replacement if row == line else row for row in rows if replacement or row != line]
+    marginals.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--input", str(bundle), "--format", "csv-bundle",
+                 "--output", str(out)]) == 1
+    assert "marginals.csv" in _one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_solve_sinkhorn_out_of_budget_exit_three(tmp_path, two_by_two_file):

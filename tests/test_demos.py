@@ -21,6 +21,8 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                          capture_output=True, text=True, timeout=300)
+    # the suite's warning policy holds in the demo's process too
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], env=env,
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

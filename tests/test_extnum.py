@@ -49,6 +49,7 @@ def test_ext_matvec_inf_absorption():
 
 
 def test_ext_matvec_overflow_guard():
-    M = np.array([[1e200]])
-    with pytest.raises(ExtOverflowError):
-        ext_matvec(M, np.array([1e200]))
+    # the second input has an INF entry next to an overflowing finite part
+    for M, w in (([[1e200]], [1e200]), ([[1e200, 1.0], [1.0, 0.0]], [1e200, INF])):
+        with pytest.raises(ExtOverflowError, match="^extended matvec overflowed$"):
+            ext_matvec(np.array(M), np.array(w))
