@@ -48,6 +48,9 @@ from .problem import (
 #: of orders of magnitude.
 DIVERGENCE_GUARD = 1e15
 
+_UNIT_ROUNDOFF = 2.0**-53
+_TINY = 2.0**-1074  # the smallest subnormal double
+
 
 class PreconditionFailed(RuntimeError):
     """A prerequisite finiteness check failed.
@@ -156,12 +159,60 @@ class CriteriaReport:
     scaling: ScalingCertificate | None = None
 
 
+def _exact_column_sums(P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each column of ``P * w[:, None]``, bit for bit, for nonnegative P and w.
+
+    Sum2 of Ogita, Rump & Oishi 2005 (*Accurate sum and dot product*),
+    vectorized across the columns: a cascade of TwoSums over the rows
+    leaves a rounded sum ``p`` and the float sum ``q`` of the rounding
+    errors, with ``|p + q - s| <= gamma_{n-1}^2 s`` for the exact sum
+    ``s`` of nonnegative terms.  One more TwoSum gives ``r + f == p + q``
+    exactly, so ``r`` is the correctly rounded ``s`` -- what ``fsum``
+    returns -- when ``|f|`` plus that bound stays below half the gap from
+    ``r`` to its nearer neighbouring double.  The bound is taken as
+    ``2 gamma_{n-1}^2 r`` plus the smallest subnormal, which covers
+    ``s > r`` and the rounding of the test itself.  Every other column
+    (a tie, a non-finite partial sum, an all-zero column) is summed by
+    ``math.fsum``.  Work memory is O(number of columns).
+    """
+    n, m = P.shape
+    g = (n - 1) * _UNIT_ROUNDOFF / (1.0 - (n - 1) * _UNIT_ROUNDOFF)
+    p, q, x, s, z, e = (np.zeros(m) for _ in range(6))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            np.multiply(P[i], w[i], out=x)
+            np.add(p, x, out=s)  # TwoSum(p, x): s + e == p + x
+            np.subtract(s, p, out=z)
+            np.subtract(s, z, out=e)
+            np.subtract(p, e, out=e)
+            np.subtract(x, z, out=z)
+            np.add(e, z, out=e)
+            np.add(q, e, out=q)
+            p, s = s, p
+        r = p + q
+        z = r - p
+        f = (p - (r - z)) + (q - z)
+        gap = np.minimum(r - np.nextafter(r, 0.0), np.nextafter(r, INF) - r)
+        exact = np.abs(f) + (2.0 * g * g * r + _TINY) < 0.5 * gap
+    for j in np.flatnonzero(~exact):
+        r[j] = math.fsum(P[:, j] * w)
+    return r
+
+
 def _integral_direction(P: np.ndarray, inner_marginal: np.ndarray,
                         outer_marginal: np.ndarray, guard: float) -> IntegralDirection:
+    """``sum_j outer_j / inner_j`` with ``inner_j = sum_i P[i,j] inner_marginal_i``.
+
+    Both sums are exactly rounded.  The inner ones come from one pass of
+    Sum2 (Ogita, Rump & Oishi 2005) across all columns, accepted per
+    column when ``|f| + 2 gamma_{n-1}^2 r`` stays below half the gap
+    from ``r`` to its nearer neighbouring double, with ``math.fsum`` for
+    the rest (see :func:`_exact_column_sums`); the outer one is one
+    ``math.fsum``.
+    """
     # exactly rounded sums keep the verdict independent of summation
     # order, so transposing the problem swaps the directions bit-for-bit
-    weighted = P * inner_marginal[:, None]
-    inner = np.array([math.fsum(weighted[:, j]) for j in range(P.shape[1])])
+    inner = _exact_column_sums(P, inner_marginal)
     zero = inner == 0.0
     if (zero & (outer_marginal > 0)).any():
         return IntegralDirection(value=INF, finite=False)
@@ -178,7 +229,9 @@ def check_integral_criterion(
     The x->y direction sums ``nu_j / (sum_i P[i,j] mu_i)``; a zero inner
     sum against positive nu-mass makes the value INF.  The y->x direction
     exchanges the roles of the marginals.  ``finite`` means not INF and
-    below the divergence guard.
+    below the divergence guard.  Every sum is exactly rounded, so the
+    values do not depend on summation order and the directions of the
+    transposed problem are these, swapped, bit for bit.
     """
     P = kernel_matrix(problem)
     return IntegralCriterionResult(

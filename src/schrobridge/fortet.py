@@ -51,8 +51,9 @@ STATUS_DEGENERATE = "degenerate-zero"
 STATUS_MAX_ITER = "max-iter"
 STATUS_DIVERGENT = "divergent"
 
-#: min phi below this multiple of min U, while still decreasing, is treated
-#: as collapse to the trivial zero fixed point.
+#: Collapse to the trivial zero fixed point is declared once, while still
+#: decreasing, min phi falls below this multiple of min U (truncated scheme)
+#: or ``min_i phi_i(u_n) / phi_i(u_1)`` below it (plain scheme).
 DEGENERATE_CUTOFF = 1e-13
 
 #: the smallest ``tol`` the solvers accept: 4 eps.  Below a few eps the
@@ -228,7 +229,8 @@ def normalization_check(problem: DiscreteProblem, u: np.ndarray) -> float:
     validated problem.
     """
     u = _check_positive_finite(u, "potential", problem.n_x)
-    return math.fsum(phi(problem, u) / u * problem.mu.weights)
+    # mu/u is under psi's overflow guard; phi/u alone may overflow when mu_i is tiny
+    return math.fsum(scaled_inverse(problem.mu.weights, u) * phi(problem, u))
 
 
 def restricted_normalization(problem: DiscreteProblem, u: np.ndarray) -> tuple[float, float]:
@@ -293,9 +295,10 @@ def _check_budget(tol: float, max_iter: int) -> None:
         raise ValueError(f"tol must be at least {MIN_TOL:.3g} and max_iter at least 1")
 
 
-@np.errstate(over="ignore")  # phi/u, up to 1/mu_i, may overflow: rel and the trace read inf
+@np.errstate(over="ignore")  # |phi - u|/u, up to 1/mu_i, may overflow: rel reads inf
 def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
-             degenerate_below, ceiling=None, check_dichotomy=False) -> FixedPointResult:
+             degenerate_below, per_index=False, ceiling=None,
+             check_dichotomy=False) -> FixedPointResult:
     """The loop of both schemes, ``u_{n+1} = advance(phi(u_n))`` from ``u_1 = u``.
 
     ``u`` is finite and strictly positive, and so is every iterate the
@@ -303,20 +306,24 @@ def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
     ``advance(phi_u, u, n + 1)`` is ``u_{n+1}`` and its sup relative
     change from ``u``.  The run converges once that change is at most
     ``tol`` and ``max |u - target(phi(u))|`` at most ``tol * scale(u)``;
-    it is degenerate-zero once min phi falls below ``degenerate_below``
+    it is degenerate-zero once its level falls below ``degenerate_below``
     while still decreasing, and divergent once a step passes the overflow
     guard or the iterate lies above it.  The early-exit index is the first
-    n with ``phi(u_n) <= ceiling``.  With ``check_dichotomy``, a phi that
-    vanishes at some points but not all raises.
+    n with ``phi(u_n) <= ceiling``.  The level is min phi, or with
+    ``per_index`` ``min_i phi_i(u_n) / phi_i(u_1)``, each index against its
+    own first value (0 when phi vanishes somewhere).  With
+    ``check_dichotomy``, a phi that vanishes at some points but not all
+    raises.
     """
     records: list[TraceRecord] = []
     early_exit: int | None = None
-    prev_min_phi = INF
+    prev_level = INF
     status = STATUS_MAX_ITER
     step = _dual_step(problem)
     n = 1
     try:
         ps, ph = step(u)
+        first_phi = ph
         while True:
             min_phi = float(np.minimum.reduce(ph))
             if early_exit is None and ceiling is not None and (ph <= ceiling).all():
@@ -325,10 +332,13 @@ def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
                 raise NonFiniteIntermediate(
                     "dichotomy violated: phi vanished at some points but not all"
                 )
-            if min_phi < degenerate_below and min_phi < prev_min_phi:
+            level = min_phi
+            if per_index and min_phi > 0.0:  # then first_phi > 0 too, or the run ended at n = 1
+                level = float(np.minimum.reduce(ph / first_phi))
+            if level < degenerate_below and level < prev_level:
                 status = STATUS_DEGENERATE
                 break
-            prev_min_phi = min_phi
+            prev_level = level
 
             u_next, rel = advance(ph, u, n + 1)
             if trace:
@@ -339,7 +349,7 @@ def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
                         max_u=float(np.max(u)),
                         residual=rel,
                         min_phi=min_phi,
-                        normalization=float(np.dot(problem.mu.weights, ph / u)),
+                        normalization=float(np.dot(problem.mu.weights / u, ph)),
                     )
                 )
             u = u_next
@@ -410,8 +420,10 @@ def solve_untruncated(
     """Plain iteration u_{n+1} = phi(u_n) from u_1 (default all ones).
 
     Without the positivity floor the iteration may collapse to the zero
-    fixed point (status degenerate-zero) or blow up past the overflow
-    guard (status divergent).  ``u1`` must be finite and strictly
+    fixed point (status degenerate-zero: ``min_i phi_i(u_n) / phi_i(u_1)``
+    below ``DEGENERATE_CUTOFF`` while still decreasing, so each index is
+    measured against its own scale) or blow up past the overflow guard
+    (status divergent).  ``u1`` must be finite and strictly
     positive, like the ceiling of :func:`solve_fortet`; ``tol`` must be
     at least ``MIN_TOL``.
     """
@@ -425,7 +437,7 @@ def solve_untruncated(
 
     return _iterate(problem, u, tol, max_iter, trace, advance=advance,
                     target=lambda phi_u: phi_u, scale=lambda u: float(np.max(u)),
-                    degenerate_below=DEGENERATE_CUTOFF * float(np.max(u)))
+                    degenerate_below=DEGENERATE_CUTOFF, per_index=True)
 
 
 # ---------------------------------------------------------------------------

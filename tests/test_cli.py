@@ -103,6 +103,21 @@ def test_solve_untruncated_and_sinkhorn(tmp_path, two_by_two_file):
         assert read(out)["marginal_err_x"] <= 1e-9
 
 
+def test_solve_untruncated_on_wide_range_potentials(tmp_path):
+    # the hard 2-D Gaussian: phi spans 1e-77, so a cutoff relative to
+    # max u1 declared collapse before the first step
+    gp = GaussianProblem(a=np.diag([0.1, 10.0]), b=np.diag([10.0, 0.1]), c=np.eye(2))
+    path = tmp_path / "hard.json"
+    save_problem(validate_reduction(discretize_gaussian(gp, points_per_dim=31)), str(path))
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--input", str(path), "--scheme", "untruncated", "--tol", "1e-5",
+                 "--output", str(out)])
+    assert code == 0
+    report = read(out)
+    assert report["status"] == "converged-positive"
+    assert report["marginal_err_x"] <= 1e-8 and report["marginal_err_y"] <= 1e-8
+
+
 def test_solve_trace_csv(tmp_path, two_by_two_file):
     out = tmp_path / "sol.json"
     code = main(["solve", "--input", two_by_two_file, "--output", str(out), "--trace"])

@@ -1,4 +1,5 @@
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -30,6 +31,7 @@ from schrobridge import (
     sufficient_for_existence,
     validate_reduction,
 )
+from schrobridge.criteria import _exact_column_sums
 from conftest import build_dense_problem, random_positive_problem
 
 
@@ -77,6 +79,99 @@ def test_integral_guard_flags_enormous_values():
     assert not res.xy.finite
     loose = check_integral_criterion(problem, finite_guard=1e45)
     assert loose.xy.finite
+
+
+# 1 + 2^-53 is a tie between doubles; 1 + 2^-53 + 2^-110 is not, but its
+# rounding errors 2^-53 and 2^-110 do not add exactly, so Sum2 sees a tie
+_TIE_TERMS = [1.0, 2.0**-53, 2.0**-54, 3.0 * 2.0**-53, 2.0**-110]
+
+
+@st.composite
+def column_sets(draw):
+    """A nonnegative matrix and row weights: ties, subnormals, zeros, 1e-300 to 1e300."""
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.just(0.0),
+        st.sampled_from(_TIE_TERMS),
+        st.integers(1, 2**20).map(lambda k: k * 2.0**-1074),
+        st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        st.floats(0.0, 1e300),
+    )
+    W = np.array(draw(st.lists(entry, min_size=n * m, max_size=n * m))).reshape(n, m)
+    zero_columns = draw(st.lists(st.integers(0, m - 1), max_size=2))
+    W[:, zero_columns] = 0.0
+    if draw(st.booleans()):
+        w = np.ones(n)
+    else:
+        w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                                   min_size=n, max_size=n)))
+    return (np.asfortranarray(W) if draw(st.booleans()) else W), w
+
+
+def _fsum_columns(P, w):
+    return np.array([math.fsum(col) for col in (P * w[:, None]).T])
+
+
+def _count_fsum(monkeypatch) -> list:
+    """A list that grows by one entry per ``math.fsum`` call from now on."""
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+    return calls
+
+
+@given(column_sets())
+@settings(max_examples=400, deadline=None)
+def test_exact_column_sums_equal_fsum(case):
+    P, w = case
+    assert np.array_equal(_exact_column_sums(P, w), _fsum_columns(P, w))
+
+
+def test_exact_column_sums_fall_back_to_fsum_on_ties_and_zeros(monkeypatch):
+    # columns: a tie; all zeros; a sum Sum2 rounds to a tie (1, where fsum
+    # gives 1 + 2^-52); a sum whose lost errors (3 x 3 * 2^-109) carry it
+    # past a midpoint, so that r is wrong although |f| is below half the
+    # gap and only the gamma^2 bound sends it to fsum; then two the bound
+    # decides
+    P = np.array([[1.0, 0.0, 1.0, 1.0 + 2.0**-52, 0.5, 1e300],
+                  [2.0**-53, 0.0, 2.0**-53, 2.0**-53 - 2.0**-106, 0.25, 1e-300],
+                  [0.0, 0.0, 2.0**-110, 3 * 2.0**-109, 0.125, 0.0],
+                  [0.0, 0.0, 0.0, 3 * 2.0**-109, 0.0, 0.0],
+                  [0.0, 0.0, 0.0, 3 * 2.0**-109, 0.0, 0.0]])
+    expect = _fsum_columns(P, np.ones(5))
+    assert expect[2] == 1.0 + 2.0**-52 and expect[3] == 1.0 + 2.0**-51
+    calls = _count_fsum(monkeypatch)
+    assert np.array_equal(_exact_column_sums(P, np.ones(5)), expect)
+    assert len(calls) == 4
+
+
+@pytest.fixture(scope="module", params=[1.0, 50.0], ids=["c1", "c50"])
+def gaussian_801_kernel(request):
+    gp = GaussianProblem(a=[[1.0]], b=[[1.0]], c=[[request.param]])
+    problem = validate_reduction(discretize_gaussian(gp, points_per_dim=801))
+    return problem, kernel_matrix(problem)
+
+
+def test_exact_column_sums_on_the_801_point_gaussian(gaussian_801_kernel):
+    problem, P = gaussian_801_kernel
+    mu, nu = problem.mu.weights, problem.nu.weights
+    assert np.array_equal(_exact_column_sums(P, mu), _fsum_columns(P, mu))
+    assert np.array_equal(_exact_column_sums(P.T, nu), _fsum_columns(P.T, nu))
+
+
+def test_integral_criterion_calls_fsum_only_for_fallback_columns(gaussian_801_kernel,
+                                                                  monkeypatch):
+    # one fsum per direction for the outer sum, plus one per column the
+    # error bound cannot decide; a per-column fsum loop would make 1604
+    problem, P = gaussian_801_kernel
+    calls = _count_fsum(monkeypatch)
+    _exact_column_sums(P, problem.mu.weights)
+    _exact_column_sums(P.T, problem.nu.weights)
+    fallbacks = len(calls)
+    calls.clear()
+    check_integral_criterion(problem)
+    assert fallbacks <= problem.n_x // 100
+    assert len(calls) <= 2 + fallbacks
 
 
 # ---------------------------------------------------------------------------

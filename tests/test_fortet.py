@@ -122,6 +122,13 @@ def test_normalization_random_problem():
     assert abs(normalization_check(problem, u) - 1.0) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normalization_with_a_subnormal_mass_stays_finite():
+    # phi_2 / u_2 is about 5e322, past the float range; mu_2 / u_2 is 1e3
+    problem = build_dense_problem(np.ones((2, 2)), [1.0, 1e-320], [0.5, 0.5])
+    assert abs(normalization_check(problem, np.array([1.0, 1e-323])) - 1.0) <= 1e-12
+
+
 def test_normalization_requires_positive_potential(two_by_two):
     with pytest.raises(ValueError):
         normalization_check(two_by_two, np.array([0.0, 1.0]))
@@ -338,12 +345,20 @@ def test_solve_fortet_infeasible_support_exhausts_budget():
 
 def test_solve_untruncated_degenerate_on_infeasible_support():
     # without the floor the infeasible entry collapses geometrically and
-    # the min-phi rule catches it
+    # the per-index rule catches it
     problem = validate_reduction(
         build_dense_problem([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.9, 0.1])
     )
     result = solve_untruncated(problem, max_iter=5000)
     assert result.status == STATUS_DEGENERATE
+
+
+def test_solve_untruncated_vanishing_phi_is_degenerate_at_once():
+    # an unreduced problem whose second row misses every y point: phi(u_1)
+    # has a zero, which ends the run before it steps from a zero potential
+    problem = build_dense_problem([[1.0, 1.0], [0.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
+    result = solve_untruncated(problem)
+    assert result.status == STATUS_DEGENERATE and result.iterations == 0
 
 
 def test_solve_untruncated_constant_kernel(constant_kernel):
