@@ -35,6 +35,7 @@ from .extnum import INF, OVERFLOW_LIMIT
 from .fortet import phi, psi
 from .problem import (
     MARGINAL_MASS_TOL,
+    DenseKernel,
     DiscreteProblem,
     RadialKernel,
     ValidationError,
@@ -288,7 +289,7 @@ def check_compact_domination(
     bound = np.asarray(coefficients) @ P[list(x_indices), :]
     bad = np.flatnonzero(target > bound)
     continuity = (
-        "asserted-not-checked" if problem.kernel.kind == "dense-matrix"
+        "asserted-not-checked" if isinstance(problem.kernel, DenseKernel)
         else "declared-by-kernel-kind"
     )
     return CompactDominationResult(

@@ -28,11 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import DiscreteProblem, DiscreteSpace, GaussianKernel, GridTooLarge, Marginal
-
-
-class NotSPD(ValueError):
-    """A matrix that must be symmetric positive definite is not."""
+# NotSPD and SYMMETRY_TOL are re-exported: the SPD check is shared with GaussianKernel
+from .problem import (SYMMETRY_TOL, DiscreteProblem, DiscreteSpace, GaussianKernel,
+                      GridTooLarge, Marginal, NotSPD, _as_spd)
 
 
 class DimensionMismatch(ValueError):
@@ -43,25 +41,9 @@ class DegenerateBC(ValueError):
     """The boundary identity needs b != c."""
 
 
-SYMMETRY_TOL = 1e-12
 #: Relative asymmetry allowed in derived matrix expressions before the
 #: quadratic-form comparison is considered meaningless.
 ASYMMETRY_GUARD = 1e-10
-
-
-def _as_spd(mat, name: str) -> np.ndarray:
-    m = np.atleast_2d(np.asarray(mat, dtype=float))
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSPD(f"{name} must be a square matrix")
-    if not np.isfinite(m).all():
-        raise NotSPD(f"{name} must be finite")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > SYMMETRY_TOL * scale:
-        raise NotSPD(f"{name} is not symmetric to {SYMMETRY_TOL:g}")
-    m = (m + m.T) / 2.0
-    if np.linalg.eigvalsh(m).min() <= 0:
-        raise NotSPD(f"{name} is not positive definite")
-    return m
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,32 @@ class EvaluationError(RuntimeError):
     """A kernel profile returned a negative or non-finite value."""
 
 
+class NotSPD(ValidationError):
+    """A matrix that must be symmetric positive definite is not."""
+
+
+SYMMETRY_TOL = 1e-12
+
+
+def _as_spd(mat, name: str) -> np.ndarray:
+    """``mat`` as a symmetric positive definite float matrix, symmetric to
+    ``SYMMETRY_TOL`` relative to its largest entry (or to 1); NotSPD otherwise."""
+    m = np.atleast_2d(np.asarray(mat, dtype=float))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise NotSPD(f"{name} must be a square matrix")
+    if not np.isfinite(m).all():
+        raise NotSPD(f"{name} must be finite")
+    scale = max(1.0, float(np.abs(m).max()))
+    with np.errstate(over="ignore"):  # a difference past the float range is refused as asymmetric
+        asymmetry = np.abs(m - m.T).max()
+    if asymmetry > SYMMETRY_TOL * scale:
+        raise NotSPD(f"{name} is not symmetric to {SYMMETRY_TOL:g}")
+    m = m + (m.T - m) / 2.0
+    if np.linalg.eigvalsh(m).min() <= 0:
+        raise NotSPD(f"{name} is not positive definite")
+    return m
+
+
 def _as_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -132,10 +158,10 @@ class DenseKernel:
     """Kernel given by its matrix of values on the grid."""
 
     entries: np.ndarray
-    kind: str = field(default="dense-matrix", init=False)
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
+        # C order: equal values give equal matvec bits, whatever the caller's layout
+        e = np.ascontiguousarray(self.entries, dtype=float)
         object.__setattr__(self, "entries", e)
         if e.ndim != 2:
             raise ValidationError("dense kernel entries must form a matrix")
@@ -143,15 +169,7 @@ class DenseKernel:
             raise ValidationError("dense kernel entries must be finite and nonnegative")
 
     def evaluate(self, x_points: np.ndarray, y_points: np.ndarray) -> np.ndarray:
-        if self.entries.shape != (x_points.shape[0], y_points.shape[0]):
-            raise ValidationError(
-                f"dense kernel shape {self.entries.shape} does not match grids "
-                f"({x_points.shape[0]}, {y_points.shape[0]})"
-            )
-        return self.entries.copy()
-
-    def transposed(self) -> "DenseKernel":
-        return DenseKernel(self.entries.T)
+        return self.entries
 
 
 @dataclass(frozen=True)
@@ -159,16 +177,17 @@ class RadialKernel:
     """Kernel of the form p(x, y) = profile(|y - x|).
 
     ``cutoff`` is the radius beyond which the profile is declared
-    non-increasing; it is consumed by the radial existence check, not by
-    evaluation.  ``profile_name``/``profile_params`` make the kernel
-    serializable when the profile came from the registry.
+    non-increasing.  It is validated and round-tripped through problem
+    files, but nothing reads it: the radial existence check in
+    ``criteria.full_report`` scans candidate cutoffs of its own.
+    ``profile_name``/``profile_params`` make the kernel serializable when
+    the profile came from the registry.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
     cutoff: float = 0.0
     profile_name: str | None = None
     profile_params: dict | None = None
-    kind: str = field(default="radial", init=False)
 
     def evaluate(self, x_points: np.ndarray, y_points: np.ndarray) -> np.ndarray:
         diff = x_points[:, None, :] - y_points[None, :, :]
@@ -181,40 +200,22 @@ class RadialKernel:
             raise EvaluationError("radial profile returned a negative or non-finite value")
         return vals
 
-    def transposed(self) -> "RadialKernel":
-        return self
-
 
 @dataclass(frozen=True)
 class GaussianKernel:
     """Kernel p(x, y) = centered Gaussian density with precision ``c`` at y - x."""
 
     c: np.ndarray
-    kind: str = field(default="gaussian", init=False)
 
     def __post_init__(self):
-        c = np.atleast_2d(np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "c", c)
-        if c.shape[0] != c.shape[1]:
-            raise ValidationError("gaussian kernel precision must be square")
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise ValidationError("gaussian kernel precision must be symmetric")
-        if np.linalg.eigvalsh((c + c.T) / 2.0).min() <= 0:
-            raise ValidationError("gaussian kernel precision must be positive definite")
+        object.__setattr__(self, "c", _as_spd(self.c, "gaussian kernel precision"))
 
     def evaluate(self, x_points: np.ndarray, y_points: np.ndarray) -> np.ndarray:
         d = x_points.shape[1]
-        if self.c.shape[0] != d:
-            raise ValidationError(
-                f"gaussian kernel dimension {self.c.shape[0]} does not match grid dimension {d}"
-            )
         diff = y_points[None, :, :] - x_points[:, None, :]
         quad = np.einsum("ijk,kl,ijl->ij", diff, self.c, diff)
         norm = math.sqrt(np.linalg.det(self.c) / (2.0 * math.pi) ** d)
         return norm * np.exp(-0.5 * quad)
-
-    def transposed(self) -> "GaussianKernel":
-        return self
 
 
 Kernel = DenseKernel | RadialKernel | GaussianKernel
@@ -289,6 +290,9 @@ class DiscreteProblem:
                 raise ValidationError("dense kernel shape does not match the grids")
         elif self.x_space.dim != self.y_space.dim:
             raise ValidationError("functional kernels require grids of equal dimension")
+        elif isinstance(self.kernel, GaussianKernel) and self.kernel.c.shape[0] != self.x_space.dim:
+            raise ValidationError(f"gaussian kernel dimension {self.kernel.c.shape[0]} does not "
+                                  f"match grid dimension {self.x_space.dim}")
 
     @property
     def n_x(self) -> int:
@@ -299,20 +303,28 @@ class DiscreteProblem:
         return self.y_space.size
 
     def transposed(self) -> "DiscreteProblem":
-        """Swap the roles of the two spaces (kernel transposed)."""
-        return DiscreteProblem(
-            x_space=self.y_space,
-            y_space=self.x_space,
-            mu=self.nu,
-            nu=self.mu,
-            kernel=self.kernel.transposed(),
-        )
+        """Swap the roles of the two spaces (kernel transposed).  A functional
+        kernel depends on ``|y - x|`` or is a centered Gaussian of ``y - x``,
+        so it is its own transpose."""
+        kernel = self.kernel
+        if isinstance(kernel, DenseKernel):
+            kernel = DenseKernel(kernel.entries.T)
+        return DiscreteProblem(x_space=self.y_space, y_space=self.x_space,
+                               mu=self.nu, nu=self.mu, kernel=kernel)
+
+
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    """A view of ``mat`` that refuses writes; ``mat`` itself stays writable."""
+    view = mat.view()
+    view.flags.writeable = False
+    return view
 
 
 def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
     """Materialize the kernel on the grid as a dense nonnegative matrix.
 
-    The matrix is cached on the problem; callers must not mutate it.
+    The matrix is cached on the problem as a read-only view; a dense
+    kernel's cache shares memory with its entries.
     Raises :class:`GridTooLarge`, before allocating, when the evaluation
     would need more than ``MAX_KERNEL_BYTES``.
     """
@@ -329,7 +341,7 @@ def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
             raise EvaluationError("kernel evaluation produced non-finite entries")
         if (mat < 0).any():
             raise EvaluationError("kernel evaluation produced negative entries")
-        problem._matrix = mat
+        problem._matrix = _read_only(mat)
     return problem._matrix
 
 
@@ -341,7 +353,9 @@ def validate_reduction(problem: DiscreteProblem) -> DiscreteProblem:
     remaining row of the kernel to have a positive entry against some
     positive nu-weight (and symmetrically for columns).  Returns the
     reduced problem (the same object if nothing changed) or raises
-    :class:`IrreducibleProblem` naming the violating indices.
+    :class:`IrreducibleProblem` naming the violating indices.  The reduced
+    problem keeps a Gaussian or radial kernel as it is, and a dense one is
+    sliced; either way its cached matrix is the slice of the parent's.
     """
     keep_x = problem.mu.weights > 0
     keep_y = problem.nu.weights > 0
@@ -359,7 +373,8 @@ def validate_reduction(problem: DiscreteProblem) -> DiscreteProblem:
             ),
             mu=Marginal(mu_w / mu_w.sum()),
             nu=Marginal(nu_w / nu_w.sum()),
-            kernel=DenseKernel(P),
+            kernel=DenseKernel(P) if isinstance(problem.kernel, DenseKernel) else problem.kernel,
+            _matrix=_read_only(P),
         )
 
     P = kernel_matrix(reduced)

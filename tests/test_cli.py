@@ -812,3 +812,46 @@ def test_compare_refused_by_the_oracle_exit_two(tmp_path):
     report = read(out)
     assert report["fortet_status"] == "converged-positive"
     assert report["sinkhorn_error"] == "sinkhorn_baseline requires a strictly positive kernel"
+
+
+def test_check_radial_problem_whose_marginal_tails_underflow(tmp_path, capsys):
+    # the far tail of mu is 0, so reduction drops atoms; the radial check still runs
+    x = np.linspace(-40.0, 40.0, 81)
+    mu = np.exp(-(x + 30.0) ** 2 / 2)
+    mu /= mu.sum()
+    doc = {"x_space": {"points": x[:, None].tolist(), "weights": [1.0] * 81},
+           "y_space": {"points": x[:, None].tolist(), "weights": [1.0] * 81},
+           "mu": mu.tolist(), "nu": mu[::-1].tolist(),
+           "kernel": {"kind": "radial",
+                      "profile": {"name": "exponential", "params": {"rate": 1.0}}}}
+    path, out = tmp_path / "p.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = read(out)
+    assert report["radial"]["holds"] is True
+    assert not report["integral"]["xy"]["finite"] and not report["integral"]["yx"]["finite"]
+
+
+def test_problem_file_with_an_asymmetric_gaussian_precision_exits_one(tmp_path, capsys):
+    space = {"points": [[0.0, 0.0], [1.0, 0.0]], "weights": [1.0, 1.0]}
+    doc = {"x_space": space, "y_space": space, "mu": [0.5, 0.5], "nu": [0.5, 0.5],
+           "kernel": {"kind": "gaussian", "c": [[2.0, 0.5 + 1e-6], [0.5, 1.0]]}}
+    path, out = tmp_path / "p.json", tmp_path / "r.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", "--input", str(path), "--output", str(out)]) == 1
+    assert "not symmetric" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_check_triple_with_a_precision_near_the_float_range(tmp_path, capsys):
+    path, out = tmp_path / "gp.json", tmp_path / "r.json"
+    path.write_text('{"a": 1e308, "b": 1.0, "c": 1.0}')
+    assert main(["check", "--input", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    mc = read(out)["matrix_criterion"]
+    assert mc["xy_holds"] and mc["yx_holds"]
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    path.write_text(json.dumps({"a": [[1.0, 1e308], [1e308, 1.0]], "b": eye, "c": eye}))
+    assert main(["check", "--input", str(path), "--output", str(out)]) == 1
+    assert _one_error_line(capsys) == "error: bad gaussian problem: a is not positive definite\n"

@@ -206,6 +206,16 @@ def test_discretized_kernel_matches_density():
     assert P[1, 3] == pytest.approx(gauss_density([[2.0]], y0 - x0), rel=1e-12)
 
 
+def test_spd_check_of_entries_near_the_float_range():
+    # no overflow near the float range, and a symmetric matrix comes back bit for bit
+    gp = GaussianProblem(a=[[1e308]], b=[[1.0]], c=[[1.0]])
+    assert gp.a[0, 0] == 1e308
+    with pytest.raises(NotSPD, match="a is not positive definite"):
+        GaussianProblem(a=[[1.0, 1e308], [1e308, 1.0]], b=np.eye(2), c=np.eye(2))
+    with pytest.raises(NotSPD, match="a is not symmetric"):
+        GaussianProblem(a=[[1.0, 1e308], [-1e308, 1.0]], b=np.eye(2), c=np.eye(2))
+
+
 def test_gaussian_problem_validation():
     with pytest.raises(NotSPD):
         GaussianProblem(a=[[-1.0]], b=[[1.0]], c=[[1.0]])

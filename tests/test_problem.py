@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 
 from schrobridge import (
+    DenseKernel,
     DiscreteProblem,
     DiscreteSpace,
     EvaluationError,
     GaussianKernel,
     IrreducibleProblem,
     Marginal,
+    NotSPD,
     ParseError,
     RadialKernel,
     SchemaError,
     ValidationError,
+    check_compact_domination,
     kernel_matrix,
     load_problem,
     make_radial_kernel,
@@ -22,6 +25,18 @@ from schrobridge import (
     validate_reduction,
 )
 from conftest import build_dense_problem
+
+
+def _functional_problem(kernel, x_points, y_points):
+    """``kernel`` on 1-D grids with unit reference weights and uniform marginals."""
+    nx, ny = len(x_points), len(y_points)
+    return DiscreteProblem(
+        x_space=DiscreteSpace(np.asarray(x_points, float), np.ones(nx)),
+        y_space=DiscreteSpace(np.asarray(y_points, float), np.ones(ny)),
+        mu=Marginal(np.full(nx, 1.0 / nx)),
+        nu=Marginal(np.full(ny, 1.0 / ny)),
+        kernel=kernel,
+    )
 
 
 def test_space_validation():
@@ -143,7 +158,7 @@ def test_json_roundtrip_gaussian_and_radial_kernels(tmp_path, gaussian_1d_small)
     path = tmp_path / "g.json"
     save_problem(gaussian_1d_small, str(path))
     back = load_problem(str(path))
-    assert back.kernel.kind == "gaussian"
+    assert isinstance(back.kernel, GaussianKernel)
     assert np.array_equal(kernel_matrix(back), kernel_matrix(gaussian_1d_small))
 
     radial = DiscreteProblem(
@@ -156,7 +171,7 @@ def test_json_roundtrip_gaussian_and_radial_kernels(tmp_path, gaussian_1d_small)
     rpath = tmp_path / "r.json"
     save_problem(radial, str(rpath))
     back = load_problem(str(rpath))
-    assert back.kernel.kind == "radial"
+    assert isinstance(back.kernel, RadialKernel)
     assert np.allclose(kernel_matrix(back), kernel_matrix(radial), rtol=0, atol=0)
 
 
@@ -231,12 +246,83 @@ def test_malformed_json_is_parse_error_with_location(tmp_path):
 
 
 def test_transposed_swaps_everything(two_by_two):
-    t = two_by_two.transposed()
-    assert np.array_equal(kernel_matrix(t), kernel_matrix(two_by_two).T)
-    assert np.array_equal(t.mu.weights, two_by_two.nu.weights)
-    assert t.transposed().n_x == two_by_two.n_x
+    x, y = np.linspace(-2.0, 1.0, 5), np.linspace(-0.5, 3.0, 7)
+    for problem in (two_by_two,
+                    _functional_problem(GaussianKernel([[0.7]]), x, y),
+                    _functional_problem(make_radial_kernel("exponential", rate=2.0), x, y)):
+        t = problem.transposed()
+        assert np.array_equal(kernel_matrix(t), kernel_matrix(problem).T)
+        assert np.array_equal(t.mu.weights, problem.nu.weights)
+        assert t.transposed().n_x == problem.n_x
 
 
 def test_dense_kernel_shape_mismatch():
     with pytest.raises(ValidationError):
         build_dense_problem([[1.0, 2.0]], [0.5, 0.5], [1.0])
+
+
+def test_gaussian_kernel_dimension_is_checked_against_the_grids():
+    with pytest.raises(ValidationError, match="gaussian kernel dimension 2"):
+        _functional_problem(GaussianKernel(np.eye(2)), [0.0, 1.0], [0.0])
+
+
+def test_gaussian_kernel_precision_takes_the_spd_check():
+    # within the default rtol of np.allclose, but not symmetric to 1e-12
+    with pytest.raises(NotSPD, match="not symmetric"):
+        GaussianKernel([[2.0, 0.5 + 1e-6], [0.5, 1.0]])
+    with pytest.raises(ValidationError, match="not positive definite"):
+        GaussianKernel([[1.0, 2.0], [2.0, 1.0]])
+
+
+def _each_kernel_kind():
+    x = np.linspace(-1.0, 1.0, 3)
+    return {
+        "dense": build_dense_problem([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5], [0.5, 0.5]),
+        "gaussian": _functional_problem(GaussianKernel([[1.0]]), x, x),
+        "radial": _functional_problem(make_radial_kernel("exponential"), x, x),
+    }
+
+
+@pytest.mark.parametrize("kind", ["dense", "gaussian", "radial"])
+def test_kernel_cache_refuses_writes(kind):
+    problem = _each_kernel_kind()[kind]
+    with pytest.raises(ValueError, match="read-only"):
+        kernel_matrix(problem)[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        kernel_matrix(problem)[:] *= 2.0
+    assert kernel_matrix(problem)[0, 0] > 0
+
+
+def test_dense_kernel_cache_shares_memory_with_its_entries():
+    entries = np.array([[1.0, 2.0], [3.0, 4.0]])
+    problem = build_dense_problem(entries, [0.5, 0.5], [0.5, 0.5])
+    P = kernel_matrix(problem)
+    assert np.shares_memory(P, problem.kernel.entries)
+    assert entries.flags.writeable and not P.flags.writeable
+    # a transposed or Fortran-order kernel is copied to C order once
+    assert kernel_matrix(problem.transposed()).flags.c_contiguous
+
+
+def test_reduction_keeps_a_gaussian_kernel_and_its_entries():
+    x = np.linspace(-3.0, 3.0, 7)
+    mu = np.exp(-x * x / 2)
+    mu[0] = 0.0
+    parent = _functional_problem(GaussianKernel([[1.0]]), x, x)
+    parent = DiscreteProblem(parent.x_space, parent.y_space, Marginal(mu / mu.sum()), parent.nu,
+                             parent.kernel)
+    reduced = validate_reduction(parent)
+    assert isinstance(reduced.kernel, GaussianKernel) and reduced.n_x == 6
+    assert np.array_equal(kernel_matrix(reduced), kernel_matrix(parent)[1:, :])
+    assert not kernel_matrix(reduced).flags.writeable
+    res = check_compact_domination(reduced, [0], [0], [1.0])
+    assert res.continuity == "declared-by-kernel-kind"
+
+
+def test_reduction_slices_a_dense_kernel():
+    reduced = validate_reduction(
+        build_dense_problem([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [0.5, 0.0, 0.5], [0.5, 0.5]))
+    assert isinstance(reduced.kernel, DenseKernel)
+    assert np.array_equal(reduced.kernel.entries, [[1.0, 2.0], [5.0, 6.0]])
+    assert np.shares_memory(kernel_matrix(reduced), reduced.kernel.entries)
+    res = check_compact_domination(reduced, [0], [0], [1.0])
+    assert res.continuity == "asserted-not-checked"
