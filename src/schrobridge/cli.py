@@ -44,6 +44,17 @@ finds it.  Such a ``check`` reports the certificate under
 ``scaling_certificate`` without changing its exit code; null there means
 that none was found, which is not a proof that a solution exists.
 
+``--U ones``, the default of ``solve --scheme truncated`` and ``compare``,
+asks for the default ceiling (``fortet.solve_fortet`` with ``U=None``):
+for a Gaussian or radial kernel with at least
+``problem.COARSE_MIN_POINTS`` points a side, the ceiling of a coarse
+solve, from which the run takes the rescaled step; all ones with the
+clamp for a dense kernel, a smaller grid, or a coarse level that fails.
+A run from a coarse ceiling adds ``ceiling: "coarse"`` and
+``coarse_iterations`` (the coarse run's; ``iterations`` and
+``fortet_iterations`` count the fine run) to its report; every other
+report is unchanged.
+
 Reports are JSON with sorted keys (byte-identical for identical inputs);
 infinities are serialized as the string "inf".  A solution report holds
 the scalings ``a`` and ``b`` but not the dense coupling, which is
@@ -227,6 +238,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "iterations": result.iterations,
             "residual": result.residual,
             "early_exit_index": result.early_exit_index,
+            **_ceiling_keys(result),
         }
     )
     if args.trace:
@@ -243,6 +255,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if result.status == ft.STATUS_MAX_ITER:
         return EXIT_MAX_ITER
     return EXIT_DEGENERATE
+
+
+def _ceiling_keys(result: ft.FixedPointResult) -> dict:
+    """``ceiling: "coarse"`` and ``coarse_iterations`` for a run from a coarse
+    ceiling; nothing otherwise, so every other report keeps its bytes."""
+    if result.coarse_iterations is None:
+        return {}
+    return {"ceiling": "coarse", "coarse_iterations": result.coarse_iterations}
 
 
 def _fill_solution(payload: dict, sol: ft.SchrodingerSolution) -> None:
@@ -386,6 +406,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "command": "compare",
         "fortet_status": result.status,
         "fortet_iterations": result.iterations,
+        **_ceiling_keys(result),
     }
     if failed:
         _write_report(payload, args.output)
@@ -455,7 +476,9 @@ def build_parser() -> argparse.ArgumentParser:
     fortet = argparse.ArgumentParser(add_help=False)
     fortet.add_argument("--max-iter", type=int, default=100_000)
     fortet.add_argument("--U", default="ones",
-                        help="'ones' or a JSON file with the ceiling vector")
+                        help="'ones' for the default ceiling (a coarse solve's for a "
+                             "Gaussian or radial kernel on a large grid, all ones "
+                             "otherwise) or a JSON file with the ceiling vector")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--points-per-dim", type=int)
     grid.add_argument("--half-width-sigmas", type=float, default=6.0)

@@ -14,10 +14,16 @@ truncated scheme
 which decreases monotonically, stays within [U/n, U], and keeps every
 iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
 (the identity clamp), the classical potential form of Sinkhorn /
-iterative proportional fitting.  Either starts from a finite, strictly
-positive vector, checked once at entry; ends converged-positive,
-degenerate-zero, max-iter, or divergent (a step past the overflow guard);
-and rejects ``tol`` below ``MIN_TOL``.  Inside the loop a step runs as
+iterative proportional fitting.  The truncated scheme's default ceiling
+for a kernel given on points comes from a coarse solve, and from it the
+run takes the rescaled step
+
+    u_{n+1} = max(U/(n+1), min(s_n phi(u_n), u_n)),   s_n = min(1, min_i u_i / phi_i(u_n)),
+
+which keeps the same bounds (see :func:`solve_fortet`).  Either scheme
+starts from a finite, strictly positive vector, checked once at entry;
+ends converged-positive, degenerate-zero, max-iter, or divergent (a step
+past the overflow guard); and rejects ``tol`` below ``MIN_TOL``.  Inside the loop a step runs as
 two bare BLAS matvecs when scalar bounds on the kernel and the iterate
 rule out every overflow guard and a vanishing ``psi``, and as the public
 ``psi`` and ``phi`` otherwise (see ``_dual_step``).  A log-domain Sinkhorn
@@ -44,7 +50,7 @@ from .extnum import (
     ext_matvec,
     scaled_inverse,
 )
-from .problem import DiscreteProblem, DenseKernel, kernel_matrix
+from .problem import DiscreteProblem, DenseKernel, ValidationError, coarse_problem, kernel_matrix
 
 STATUS_CONVERGED = "converged-positive"
 STATUS_DEGENERATE = "degenerate-zero"
@@ -55,6 +61,10 @@ STATUS_DIVERGENT = "divergent"
 #: decreasing, min phi falls below this multiple of min U (truncated scheme)
 #: or ``min_i phi_i(u_n) / phi_i(u_1)`` below it (plain scheme).
 DEGENERATE_CUTOFF = 1e-13
+
+#: ``tol`` of the plain coarse solve that shapes a default ceiling; the
+#: ceiling needs the shape of the potential, not its last digits.
+COARSE_TOL = 1e-6
 
 #: the smallest ``tol`` the solvers accept: 4 eps.  Below a few eps the
 #: stopping test can sit under the rounding noise of one step and never pass.
@@ -113,6 +123,8 @@ class FixedPointResult:
     status: str
     early_exit_index: int | None = None
     psi_star: np.ndarray | None = field(default=None, repr=False)
+    #: iterations of the coarse solve that shaped the default ceiling; None without one
+    coarse_iterations: int | None = None
 
 
 @dataclass
@@ -260,6 +272,18 @@ def _clamp_step(phi_u: np.ndarray, ceiling: np.ndarray, n_next: int) -> np.ndarr
     return np.maximum(ceiling / n_next, np.minimum(phi_u, ceiling))
 
 
+def _rescaled_step(phi_u: np.ndarray, u: np.ndarray, ceiling: np.ndarray,
+                   n_next: int) -> np.ndarray:
+    """``max(U/(n+1), min(s phi(u_n), u_n))`` with ``s = min(1, min_i u_i / phi_i(u_n))``.
+
+    ``s phi`` lies under ``u`` but for the last ulp of the product, which
+    the inner min with ``u`` absorbs; so the step decreases monotonically,
+    stays under ``U`` and above the floor ``U/n``, as the clamp does.
+    """
+    s = min(1.0, float(np.minimum.reduce(u / phi_u)))
+    return np.maximum(ceiling / n_next, np.minimum(s * phi_u, u))
+
+
 def iterate_truncated(state: SchemeState, problem: DiscreteProblem) -> SchemeState:
     """One step of the truncated scheme; records the early-exit index.
 
@@ -372,6 +396,36 @@ def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
                             status=status, early_exit_index=early_exit, psi_star=ps)
 
 
+def _coarse_ceiling(problem: DiscreteProblem, max_iter: int) -> tuple[np.ndarray, int] | None:
+    """The default ceiling from a coarse solve, and that solve's iterations.
+
+    The coarse level (:func:`problem.coarse_problem`) runs the plain
+    scheme to ``COARSE_TOL``; its potential ``u_c`` gives the fine ceiling
+    by one Nyström half-step, ``psi = P[ix]^T (mu_c / u_c)``,
+    ``U = P (nu / psi) / max``.  None when the problem has no coarse level,
+    the coarse level is irreducible or its run does not converge, or
+    ``psi`` or ``U`` is not finite and strictly positive.
+    """
+    try:
+        level = coarse_problem(problem)
+        if level is None:
+            return None
+        coarse, ix = level
+        result = solve_untruncated(coarse, tol=COARSE_TOL, max_iter=max_iter)
+    except (ValidationError, NonFiniteIntermediate):
+        return None
+    if result.status != STATUS_CONVERGED:
+        return None
+    P = kernel_matrix(problem)
+    with np.errstate(all="ignore"):  # a vanishing or overflowing psi is refused below
+        ps = P[ix].T @ (coarse.mu.weights / result.u_star)
+        U = P @ (problem.nu.weights / ps)
+        U = U / np.max(U)
+    if not all(np.isfinite(v).all() and (v > 0).all() for v in (ps, U)):
+        return None
+    return U, result.iterations
+
+
 def solve_fortet(
     problem: DiscreteProblem,
     U: np.ndarray | None = None,
@@ -381,33 +435,68 @@ def solve_fortet(
 ) -> FixedPointResult:
     """Run the truncated scheme from u_1 = U until the iterate settles.
 
+    ``U=None`` asks for the best default ceiling the problem allows.  For
+    a Gaussian or radial kernel on a grid with at least
+    ``problem.COARSE_MIN_POINTS`` points a side, that is the ceiling of a
+    coarse solve (:func:`_coarse_ceiling`; its iterations are
+    ``coarse_iterations``), and the run takes the rescaled step
+    (:func:`_rescaled_step`) instead of the clamp, since from a shaped
+    ceiling the clamp stalls: the floor ``U/n`` then holds indices far
+    longer than from ``U = 1``.  Otherwise, and when the coarse level
+    fails, ``U`` is all ones with the clamp.  A given ``U`` always runs
+    the clamp.
+
+    The rescaled step keeps the clamp's guarantees: each iterate lies in
+    ``[U/n, U]`` and under its predecessor.  Its limit, when positive, is
+    a fixed point of ``phi``: there the floor no longer binds, and
+    ``u = min(s phi(u), u)`` with ``s phi(u) <= u`` gives ``s phi(u) = u``;
+    the identity ``sum_i mu_i phi_i(u) / u_i = 1``
+    (:func:`normalization_check`) then reads ``1 / s = 1``, so ``s = 1``
+    and ``phi(u) = u``.  The fixed point is unique up to scale, so the
+    coupling is that of the clamp run; only the scale of ``u_star``
+    differs.
+
     Stops when the sup relative change of u drops to ``tol`` *and* the
-    fixed-point residual ``||u - min(phi(u), U)||_inf`` is at most
-    ``tol * ||U||_inf``; the returned status is then converged-positive.
-    Collapse of phi toward zero (below ``DEGENERATE_CUTOFF * min U``
-    while still decreasing) reports degenerate-zero, a step past the
-    overflow guard reports divergent, and an exhausted budget reports
-    max-iter.  The default ceiling is the all-ones vector; ``tol`` must be
-    at least ``MIN_TOL``.
+    fixed-point residual is small: ``||u - min(phi(u), U)||_inf`` at most
+    ``tol * ||U||_inf`` under the clamp, ``||u - phi(u)||_inf`` at most
+    ``tol * ||u||_inf`` under the rescaled step; the returned status is
+    then converged-positive.  Collapse of phi toward zero (below
+    ``DEGENERATE_CUTOFF * min U`` while still decreasing) reports
+    degenerate-zero, a step past the overflow guard reports divergent,
+    and an exhausted budget reports max-iter.  ``tol`` must be at least
+    ``MIN_TOL``.
     """
     _check_budget(tol, max_iter)
-    if U is None:
-        U = np.ones(problem.n_x)
-    U = _check_positive_finite(U, "ceiling U", problem.n_x)
+    coarse = _coarse_ceiling(problem, max_iter) if U is None else None
+    coarse_iterations = None
+    if coarse is not None:
+        U, coarse_iterations = coarse
+    else:
+        U = _check_positive_finite(np.ones(problem.n_x) if U is None else U, "ceiling U",
+                                   problem.n_x)
     sup_U = float(np.max(U))
 
     def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
-        u_next = _clamp_step(phi_u, U, n_next)
+        if coarse is None:
+            u_next = _clamp_step(phi_u, U, n_next)
+        else:
+            u_next = _rescaled_step(phi_u, u, U, n_next)
         if not (u_next <= u).all():
             raise MonotonicityViolated("monotone decrease of the truncated scheme violated")
         # every iterate lies in [U/n, U]: finite and strictly positive; and
         # u - u_next is |u_next - u| bit for bit, as it is nonnegative
         return u_next, float(np.maximum.reduce((u - u_next) / u))
 
-    return _iterate(problem, U.copy(), tol, max_iter, trace, advance=advance,
-                    target=lambda phi_u: np.minimum(phi_u, U), scale=lambda u: sup_U,
-                    degenerate_below=DEGENERATE_CUTOFF * float(np.min(U)), ceiling=U,
-                    check_dichotomy=bool((kernel_matrix(problem) > 0).all()))
+    if coarse is None:
+        target, scale = (lambda phi_u: np.minimum(phi_u, U)), (lambda u: sup_U)
+    else:
+        target, scale = (lambda phi_u: phi_u), (lambda u: float(np.max(u)))
+    result = _iterate(problem, U.copy(), tol, max_iter, trace, advance=advance,
+                      target=target, scale=scale,
+                      degenerate_below=DEGENERATE_CUTOFF * float(np.min(U)), ceiling=U,
+                      check_dichotomy=bool((kernel_matrix(problem) > 0).all()))
+    result.coarse_iterations = coarse_iterations
+    return result
 
 
 def solve_untruncated(

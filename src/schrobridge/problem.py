@@ -211,11 +211,15 @@ class GaussianKernel:
         object.__setattr__(self, "c", _as_spd(self.c, "gaussian kernel precision"))
 
     def evaluate(self, x_points: np.ndarray, y_points: np.ndarray) -> np.ndarray:
+        """The density ``norm exp(-quad / 2)``.  ``norm`` is computed from the
+        log-determinant (``slogdet``), so it is finite whenever it is
+        representable, even where ``det(c)`` itself leaves the float range."""
         d = x_points.shape[1]
         diff = y_points[None, :, :] - x_points[:, None, :]
         quad = np.einsum("ijk,kl,ijl->ij", diff, self.c, diff)
-        norm = math.sqrt(np.linalg.det(self.c) / (2.0 * math.pi) ** d)
-        return norm * np.exp(-0.5 * quad)
+        log_norm = 0.5 * (np.linalg.slogdet(self.c)[1] - d * math.log(2.0 * math.pi))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
+            return np.exp(log_norm) * np.exp(-0.5 * quad)
 
 
 Kernel = DenseKernel | RadialKernel | GaussianKernel
@@ -343,6 +347,59 @@ def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
             raise EvaluationError("kernel evaluation produced negative entries")
         problem._matrix = _read_only(mat)
     return problem._matrix
+
+
+#: A coarse level keeps every ``COARSE_STRIDE``-th point of each side, in file order.
+COARSE_STRIDE = 8
+#: The fewest points a side needs for a coarse level (8 coarse points at the stride).
+COARSE_MIN_POINTS = 64
+#: Entries of one block of differences in the nearest-coarse-point search.
+_NEAREST_BLOCK = 1 << 16
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """For each row of ``points``, the index of its nearest row of ``centers``
+    (the first on a tie), searched over blocks of rows of one bounded size."""
+    step = max(1, _NEAREST_BLOCK // centers.size)
+    out = np.empty(len(points), dtype=np.intp)
+    for lo in range(0, len(points), step):
+        diff = points[lo:lo + step, None, :] - centers[None, :, :]
+        out[lo:lo + step] = np.argmin((diff * diff).sum(axis=2), axis=1)
+    return out
+
+
+def coarse_problem(problem: DiscreteProblem) -> tuple[DiscreteProblem, np.ndarray] | None:
+    """The coarse level of a problem whose kernel is a function of its points.
+
+    Returns ``(coarse, ix)``: ``coarse`` keeps the fine points ``ix`` of x
+    and ``iy`` of y, every ``COARSE_STRIDE``-th in file order; each fine
+    point's mass moves to its nearest kept point; and the coarse kernel is
+    the slice ``P[ix][:, iy]`` of the fine problem's cached matrix.  None
+    for a dense kernel, which has no geometry, for a side with fewer than
+    ``COARSE_MIN_POINTS`` points, and when a kept point receives no mass.
+    Raises :class:`IrreducibleProblem` when the coarse level fails the
+    reachability check of :func:`validate_reduction`.
+    """
+    if (isinstance(problem.kernel, DenseKernel)
+            or min(problem.n_x, problem.n_y) < COARSE_MIN_POINTS):
+        return None
+    ix = np.arange(0, problem.n_x, COARSE_STRIDE)
+    iy = np.arange(0, problem.n_y, COARSE_STRIDE)
+
+    def side(space: DiscreteSpace, marginal: Marginal, keep: np.ndarray):
+        centers = space.points[keep]
+        mass = np.bincount(_nearest(space.points, centers), weights=marginal.weights,
+                           minlength=keep.size)
+        return DiscreteSpace(centers, space.weights[keep]), mass / mass.sum()
+
+    x_space, mu = side(problem.x_space, problem.mu, ix)
+    y_space, nu = side(problem.y_space, problem.nu, iy)
+    if not ((mu > 0).all() and (nu > 0).all()):
+        return None
+    coarse = DiscreteProblem(x_space=x_space, y_space=y_space, mu=Marginal(mu),
+                             nu=Marginal(nu), kernel=problem.kernel,
+                             _matrix=_read_only(kernel_matrix(problem)[np.ix_(ix, iy)]))
+    return validate_reduction(coarse), ix
 
 
 def validate_reduction(problem: DiscreteProblem) -> DiscreteProblem:

@@ -855,3 +855,149 @@ def test_check_triple_with_a_precision_near_the_float_range(tmp_path, capsys):
     path.write_text(json.dumps({"a": [[1.0, 1e308], [1e308, 1.0]], "b": eye, "c": eye}))
     assert main(["check", "--input", str(path), "--output", str(out)]) == 1
     assert _one_error_line(capsys) == "error: bad gaussian problem: a is not positive definite\n"
+
+
+# ---------------------------------------------------------------------------
+# The default ceiling: a coarse solve for kernels given on points
+# ---------------------------------------------------------------------------
+
+# the reports of the worked 2x2 as the clamp from U = 1 writes them; a
+# dense kernel has no coarse level, so they keep every byte
+_TWO_BY_TWO_SOLVE = """{
+  "a": [
+    0.7101020514233882,
+    0.2898979485766118
+  ],
+  "b": [
+    0.31649658091972194,
+    0.1938137821491012
+  ],
+  "command": "solve",
+  "early_exit_index": null,
+  "iterations": 33,
+  "marginal_err_x": 2.4012236643500273e-11,
+  "marginal_err_y": 5.551115123125783e-17,
+  "rel_entropy": -2.1859366056420186,
+  "residual": 1.960587248106549e-11,
+  "scheme": "truncated",
+  "status": "converged-positive",
+  "u_star": [
+    0.408248290503479,
+    1.0
+  ]
+}
+"""
+_TWO_BY_TWO_COMPARE = """{
+  "command": "compare",
+  "coupling_gap": 1.0547118733938987e-15,
+  "fortet_iterations": 47,
+  "fortet_rel_entropy": -2.1859366056205083,
+  "fortet_status": "converged-positive",
+  "gap_tol": 1e-08,
+  "potential_gap": 1.5987211554602254e-14,
+  "sinkhorn_rel_entropy": -2.1859366056205065
+}
+"""
+
+
+@pytest.mark.parametrize("command, expected", [("solve", _TWO_BY_TWO_SOLVE),
+                                               ("compare", _TWO_BY_TWO_COMPARE)])
+def test_dense_reports_keep_their_bytes(tmp_path, two_by_two_file, command, expected):
+    out = tmp_path / "r.json"
+    assert main([command, "--input", two_by_two_file, "--output", str(out)]) == 0
+    assert out.read_text() == expected
+
+
+def _gaussian_problem_file(tmp_path, name, a, b, c, points):
+    gp = GaussianProblem(a=np.atleast_2d(a), b=np.atleast_2d(b), c=np.atleast_2d(c))
+    path = tmp_path / f"{name}.json"
+    save_problem(discretize_gaussian(gp, points_per_dim=points), str(path))
+    return str(path)
+
+
+def test_coarse_start_on_the_801_point_gaussian(tmp_path):
+    # the clamp from U = 1 takes 1589 (solve) and 3134 (compare) iterations
+    path = _gaussian_problem_file(tmp_path, "g801", 1.0, 1.0, 1.0, 801)
+    out = tmp_path / "r.json"
+    assert main(["solve", "--input", path, "--output", str(out)]) == 0
+    report = read(out)
+    assert report["ceiling"] == "coarse" and report["coarse_iterations"] > 0
+    assert report["iterations"] <= 40
+    assert max(report["marginal_err_x"], report["marginal_err_y"]) <= 1e-10
+    assert main(["compare", "--input", path, "--output", str(out)]) == 0
+    report = read(out)
+    assert report["ceiling"] == "coarse" and report["fortet_iterations"] <= 40
+    assert report["potential_gap"] <= 1e-8
+
+
+def test_small_point_grid_report_has_no_ceiling_keys(tmp_path, gaussian_file):
+    out = tmp_path / "r.json"
+    assert main(["solve", "--input", gaussian_file, "--output", str(out)]) == 0
+    assert not {"ceiling", "coarse_iterations"} & read(out).keys()
+
+
+@pytest.mark.parametrize("name, a, b", [
+    # U = 1 ends max-iter after 30,000 iterations
+    ("unit", np.eye(2), np.eye(2)),
+    # U = 1 ends degenerate-zero after 0 iterations
+    ("hard", np.diag([0.1, 10.0]), np.diag([10.0, 0.1])),
+])
+def test_two_dimensional_gaussians_solve_from_the_default_ceiling(tmp_path, name, a, b):
+    path = _gaussian_problem_file(tmp_path, name, a, b, np.eye(2), 31)
+    out = tmp_path / "r.json"
+    tol = "1e-5" if name == "hard" else "1e-10"
+    assert main(["solve", "--input", path, "--output", str(out), "--tol", tol,
+                 "--max-iter", "30000"]) == 0
+    report = read(out)
+    assert report["ceiling"] == "coarse" and report["iterations"] <= 100
+
+
+def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
+    # a coarse level that is irreducible, and one out of budget: both runs
+    # are the clamp's from U = 1, byte for byte, with no warning
+    import warnings
+
+    n = 104
+    x = np.arange(n, dtype=float)[:, None]
+    rolled = tmp_path / "rolled.json"
+    rolled.write_text(json.dumps({
+        "x_space": {"points": x.tolist(), "weights": [1.0] * n},
+        "y_space": {"points": np.roll(x, -4, axis=0).tolist(), "weights": [1.0] * n},
+        "mu": [1.0 / n] * n, "nu": [1.0 / n] * n,
+        "kernel": {"kind": "gaussian", "c": [[100.0]]}}))
+    g801 = _gaussian_problem_file(tmp_path, "g801", 1.0, 1.0, 1.0, 801)
+    # compare exits 2 on both: the oracle refuses a kernel with zeros, and
+    # a Fortet run out of budget fails the comparison
+    cases = [(str(rolled), n, [], {"solve": 0, "compare": 2}),
+             (g801, 801, ["--max-iter", "5"], {"solve": 3, "compare": 2})]
+    for path, size, extra, codes in cases:
+        ones = tmp_path / f"ones{size}.json"
+        ones.write_text(json.dumps([1.0] * size))
+        for command in ("solve", "compare"):
+            default, given = tmp_path / "default.json", tmp_path / "given.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = main([command, "--input", path, "--output", str(default), *extra])
+            assert got == main([command, "--input", path, "--output", str(given), *extra,
+                                "--U", str(ones)])
+            assert got == codes[command]
+            assert default.read_bytes() == given.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_gaussian_precision_with_a_determinant_out_of_range_solves(tmp_path, capsys, scale):
+    import warnings
+
+    grid = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    space = {"points": grid, "weights": [1.0] * 4}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"x_space": space, "y_space": space, "mu": [0.25] * 4,
+                                "nu": [0.25] * 4,
+                                "kernel": {"kind": "gaussian",
+                                           "c": [[float(scale), 0.0], [0.0, float(scale)]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
+    assert read(tmp_path / "r.json")["a"] == [0.25] * 4
+    assert capsys.readouterr().err == ""

@@ -7,8 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from schrobridge import (
     DegeneratePotential,
+    DiscreteProblem,
+    DiscreteSpace,
+    GaussianKernel,
     GaussianProblem,
     INF,
+    Marginal,
     MaxIterExceeded,
     NonFiniteIntermediate,
     SchemeState,
@@ -892,3 +896,111 @@ def test_solvers_take_the_scalar_guards(gaussian_801, hard_gaussian_2d, monkeypa
     assert solve_fortet(hard, U=ceiling, tol=1e-5, max_iter=30_000).status == STATUS_CONVERGED
     for problem in randoms:
         assert solve_fortet(problem).status == STATUS_CONVERGED
+
+
+# ---------------------------------------------------------------------------
+# Coarse-grid start for kernels given on points
+# ---------------------------------------------------------------------------
+
+
+def _unit_gaussian(c, points):
+    gp = GaussianProblem(a=[[1.0]], b=[[1.0]], c=[[float(c)]])
+    return validate_reduction(discretize_gaussian(gp, points_per_dim=points))
+
+
+def _assert_rescaled_steps_stay_in_bounds(problem, U, steps):
+    """Chain ``steps`` rescaled steps from ``u_1 = U``, checking each one elementwise;
+    returns the last iterate."""
+    u = U.copy()
+    for n in range(1, steps + 1):
+        u_next = fortet._rescaled_step(phi(problem, u), u, U, n + 1)
+        assert (u_next <= u).all()
+        assert (u_next <= U).all()
+        assert (u_next >= U / (n + 1)).all()
+        u = u_next
+    return u
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 8), ny=st.integers(1, 8),
+       spread=st.floats(0.0, 30.0))
+def test_rescaled_step_is_monotone_and_bounded(seed, nx, ny, spread):
+    rng = np.random.default_rng(seed)
+    problem = random_positive_problem(rng, nx, ny)
+    U = np.exp(rng.uniform(-spread, spread, nx))
+    _assert_rescaled_steps_stay_in_bounds(problem, U, 40)
+
+
+@pytest.mark.parametrize("c, k", [(1.0, 15), (10.0, 100)])
+def test_rescaled_step_from_the_coarse_ceiling_is_the_solver_loop(c, k):
+    # the loop of solve_fortet, step for step, against the chained steps;
+    # the coarse run shares the budget k (it takes 10 and 75 iterations)
+    problem = _unit_gaussian(c, 201)
+    U, _ = fortet._coarse_ceiling(problem, k)
+    u = _assert_rescaled_steps_stay_in_bounds(problem, U, k)
+    result = solve_fortet(problem, tol=MIN_TOL, max_iter=k)
+    assert result.status == "max-iter" and result.coarse_iterations is not None
+    assert np.array_equal(result.u_star, u)
+
+
+@pytest.mark.parametrize("c, most", [(1.0, 25), (10.0, 200), (50.0, 900)])
+def test_coarse_start_reaches_the_coupling_of_the_clamp_run(c, most):
+    # the clamp from U = 1 takes 971, 7397 and 9753 iterations here
+    problem = _unit_gaussian(c, 201)
+    coarse = solve_fortet(problem, tol=1e-10)
+    clamp = solve_fortet(problem, U=np.ones(problem.n_x), tol=1e-10)
+    assert coarse.status == clamp.status == STATUS_CONVERGED
+    assert coarse.coarse_iterations > 0 and clamp.coarse_iterations is None
+    assert coarse.iterations <= most < clamp.iterations
+    gap = np.max(np.abs(extract_solution(problem, coarse.u_star).pi
+                        - extract_solution(problem, clamp.u_star).pi))
+    assert gap <= 1e-8
+
+
+def test_point_kernel_below_the_coarse_minimum_keeps_the_clamp(gaussian_1d_small):
+    default = solve_fortet(gaussian_1d_small, tol=1e-10)
+    ones = solve_fortet(gaussian_1d_small, U=np.ones(gaussian_1d_small.n_x), tol=1e-10)
+    assert default.coarse_iterations is None
+    assert default.iterations == ones.iterations
+    assert np.array_equal(default.u_star, ones.u_star)
+
+
+def _rolled_problem():
+    """A solvable c = 100 Gaussian problem whose coarse level is irreducible."""
+    n = 104
+    x = np.arange(n, dtype=float)
+    uniform = Marginal(np.full(n, 1.0 / n))
+    return validate_reduction(DiscreteProblem(
+        DiscreteSpace(x, np.ones(n)), DiscreteSpace(np.roll(x, -4), np.ones(n)),
+        uniform, uniform, GaussianKernel([[100.0]])))
+
+
+def _failed_coarse_levels(monkeypatch):
+    """(name, problem, max_iter) whose coarse level fails, each in its own way."""
+    gauss = _unit_gaussian(1.0, 801)
+    yield "irreducible", _rolled_problem(), 100_000
+    # the coarse run needs 10 iterations
+    yield "max-iter", gauss, 5
+    # a coarse potential of infinities gives psi = 0
+    real = fortet.solve_untruncated
+
+    def infinite(problem, **kwargs):
+        result = real(problem, **kwargs)
+        result.u_star = np.full(problem.n_x, INF)
+        return result
+
+    monkeypatch.setattr(fortet, "solve_untruncated", infinite)
+    yield "psi-zero", gauss, 100_000
+
+
+def test_failed_coarse_level_falls_back_to_the_clamp(monkeypatch):
+    import warnings
+
+    for name, problem, max_iter in _failed_coarse_levels(monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            default = solve_fortet(problem, max_iter=max_iter)
+        ones = solve_fortet(problem, U=np.ones(problem.n_x), max_iter=max_iter)
+        assert default.coarse_iterations is None, name
+        assert (default.status, default.iterations) == (ones.status, ones.iterations), name
+        assert np.array_equal(default.u_star, ones.u_star), name
