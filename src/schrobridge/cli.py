@@ -47,13 +47,13 @@ that none was found, which is not a proof that a solution exists.
 ``--U ones``, the default of ``solve --scheme truncated`` and ``compare``,
 asks for the default ceiling (``fortet.solve_fortet`` with ``U=None``):
 for a Gaussian or radial kernel with at least
-``problem.COARSE_MIN_POINTS`` points a side, the ceiling of a coarse
-solve, from which the run takes the rescaled step; all ones with the
-clamp for a dense kernel, a smaller grid, or a coarse level that fails.
-A run from a coarse ceiling adds ``ceiling: "coarse"`` and
-``coarse_iterations`` (the coarse run's; ``iterations`` and
-``fortet_iterations`` count the fine run) to its report; every other
-report is unchanged.
+``problem.PLAIN_START_MIN_POINTS`` points a side, the normalized
+potential of a plain solve of the problem, from which the run takes the
+rescaled step; all ones with the clamp for a dense kernel, a smaller
+grid, or a plain start that fails.  A run from a plain start adds
+``ceiling: "plain"`` and ``plain_iterations`` (the plain run's;
+``iterations`` and ``fortet_iterations`` count the truncated run) to
+its report; every other report is unchanged.
 
 Reports are JSON with sorted keys (byte-identical for identical inputs);
 infinities are serialized as the string "inf".  A solution report holds
@@ -258,11 +258,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _ceiling_keys(result: ft.FixedPointResult) -> dict:
-    """``ceiling: "coarse"`` and ``coarse_iterations`` for a run from a coarse
-    ceiling; nothing otherwise, so every other report keeps its bytes."""
-    if result.coarse_iterations is None:
+    """``ceiling: "plain"`` and ``plain_iterations`` for a run from a plain
+    start; nothing otherwise, so every other report keeps its bytes."""
+    if result.plain_iterations is None:
         return {}
-    return {"ceiling": "coarse", "coarse_iterations": result.coarse_iterations}
+    return {"ceiling": "plain", "plain_iterations": result.plain_iterations}
 
 
 def _fill_solution(payload: dict, sol: ft.SchrodingerSolution) -> None:
@@ -418,9 +418,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _write_report(payload, args.output)
         return EXIT_DEGENERATE
 
-    u_f = result.u_star / result.u_star[0]
+    # each potential divided by its own maximum, so the gap is scale-free
+    u_f = result.u_star / np.max(result.u_star)
     u_s = ft.potential_from_solution(problem, sink)
-    u_s = u_s / u_s[0]
+    u_s = u_s / np.max(u_s)
     gap = float(np.max(np.abs(u_f - u_s)))
     sol_f = ft.extract_solution(problem, result.u_star, psi_star=result.psi_star)
     coupling_gap = _coupling_gap(sol_f, sink)
@@ -476,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     fortet = argparse.ArgumentParser(add_help=False)
     fortet.add_argument("--max-iter", type=int, default=100_000)
     fortet.add_argument("--U", default="ones",
-                        help="'ones' for the default ceiling (a coarse solve's for a "
-                             "Gaussian or radial kernel on a large grid, all ones "
+                        help="'ones' for the default ceiling (shaped by a plain solve "
+                             "for a Gaussian or radial kernel on a large grid, all ones "
                              "otherwise) or a JSON file with the ceiling vector")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--points-per-dim", type=int)
@@ -499,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(handler=cmd_check)
 
     p_cmp = sub.add_parser("compare", parents=[files, fmt, fortet], help="fortet vs sinkhorn")
-    # tight default: the gap is measured after normalizing at the first
-    # grid index, which can sit deep in a potential's tail
+    # tight default, so both runs settle far inside --gap-tol; the
+    # potential gap compares each potential over its own maximum
     p_cmp.add_argument("--tol", type=float, default=1e-14)
     p_cmp.add_argument("--gap-tol", type=float, default=1e-8)
     p_cmp.set_defaults(handler=cmd_compare)

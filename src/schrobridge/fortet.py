@@ -15,8 +15,8 @@ which decreases monotonically, stays within [U/n, U], and keeps every
 iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
 (the identity clamp), the classical potential form of Sinkhorn /
 iterative proportional fitting.  The truncated scheme's default ceiling
-for a kernel given on points comes from a coarse solve, and from it the
-run takes the rescaled step
+for a kernel given on points is shaped by a plain solve of the problem
+itself, and from it the run takes the rescaled step
 
     u_{n+1} = max(U/(n+1), min(s_n phi(u_n), u_n)),   s_n = min(1, min_i u_i / phi_i(u_n)),
 
@@ -50,7 +50,7 @@ from .extnum import (
     ext_matvec,
     scaled_inverse,
 )
-from .problem import DiscreteProblem, DenseKernel, ValidationError, coarse_problem, kernel_matrix
+from .problem import DiscreteProblem, DenseKernel, kernel_matrix, takes_plain_start
 
 STATUS_CONVERGED = "converged-positive"
 STATUS_DEGENERATE = "degenerate-zero"
@@ -62,9 +62,9 @@ STATUS_DIVERGENT = "divergent"
 #: or ``min_i phi_i(u_n) / phi_i(u_1)`` below it (plain scheme).
 DEGENERATE_CUTOFF = 1e-13
 
-#: ``tol`` of the plain coarse solve that shapes a default ceiling; the
-#: ceiling needs the shape of the potential, not its last digits.
-COARSE_TOL = 1e-6
+#: ``tol`` of the plain solve that shapes a default ceiling; the ceiling
+#: needs the shape of the potential, not its last digits.
+PLAIN_START_TOL = 1e-6
 
 #: the smallest ``tol`` the solvers accept: 4 eps.  Below a few eps the
 #: stopping test can sit under the rounding noise of one step and never pass.
@@ -123,8 +123,8 @@ class FixedPointResult:
     status: str
     early_exit_index: int | None = None
     psi_star: np.ndarray | None = field(default=None, repr=False)
-    #: iterations of the coarse solve that shaped the default ceiling; None without one
-    coarse_iterations: int | None = None
+    #: iterations of the plain solve that shaped the default ceiling; None without one
+    plain_iterations: int | None = None
 
 
 @dataclass
@@ -305,12 +305,15 @@ def iterate_truncated(state: SchemeState, problem: DiscreteProblem) -> SchemeSta
     )
 
 
-def _check_positive_finite(vec: np.ndarray, name: str, size: int) -> np.ndarray:
+def _check_positive_finite(vec: np.ndarray, name: str, size: int,
+                           error: type[ValueError] = ValueError) -> np.ndarray:
+    """``vec`` as a float array; ``ValueError`` for a wrong shape, a NaN or a
+    negative entry, and ``error`` for a zero or infinite one."""
     vec = as_ext_array(vec)
     if vec.shape != (size,):
         raise ValueError(f"{name} must have one entry per grid point ({size})")
     if np.isinf(vec).any() or (vec <= 0).any():
-        raise ValueError(f"{name} must be strictly positive and finite")
+        raise error(f"{name} must be strictly positive and finite")
     return vec
 
 
@@ -396,32 +399,27 @@ def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
                             status=status, early_exit_index=early_exit, psi_star=ps)
 
 
-def _coarse_ceiling(problem: DiscreteProblem, max_iter: int) -> tuple[np.ndarray, int] | None:
-    """The default ceiling from a coarse solve, and that solve's iterations.
+def _plain_ceiling(problem: DiscreteProblem, max_iter: int) -> tuple[np.ndarray, int] | None:
+    """The default ceiling shaped by a plain solve, and that solve's iterations.
 
-    The coarse level (:func:`problem.coarse_problem`) runs the plain
-    scheme to ``COARSE_TOL``; its potential ``u_c`` gives the fine ceiling
-    by one Nyström half-step, ``psi = P[ix]^T (mu_c / u_c)``,
-    ``U = P (nu / psi) / max``.  None when the problem has no coarse level,
-    the coarse level is irreducible or its run does not converge, or
-    ``psi`` or ``U`` is not finite and strictly positive.
+    For a problem that takes the plain start (:func:`problem.takes_plain_start`),
+    the plain scheme runs on the problem itself to ``PLAIN_START_TOL``
+    from all ones, and its potential ``u`` gives ``U = u / max(u)``.
+    None for any other problem, and when the run raises
+    :class:`NonFiniteIntermediate` or does not converge within
+    ``max_iter``, or ``U`` is not finite and strictly positive.
     """
+    if not takes_plain_start(problem):
+        return None
     try:
-        level = coarse_problem(problem)
-        if level is None:
-            return None
-        coarse, ix = level
-        result = solve_untruncated(coarse, tol=COARSE_TOL, max_iter=max_iter)
-    except (ValidationError, NonFiniteIntermediate):
+        result = solve_untruncated(problem, tol=PLAIN_START_TOL, max_iter=max_iter)
+    except NonFiniteIntermediate:
         return None
     if result.status != STATUS_CONVERGED:
         return None
-    P = kernel_matrix(problem)
-    with np.errstate(all="ignore"):  # a vanishing or overflowing psi is refused below
-        ps = P[ix].T @ (coarse.mu.weights / result.u_star)
-        U = P @ (problem.nu.weights / ps)
-        U = U / np.max(U)
-    if not all(np.isfinite(v).all() and (v > 0).all() for v in (ps, U)):
+    with np.errstate(all="ignore"):  # a potential past the float range is refused below
+        U = result.u_star / np.max(result.u_star)
+    if not (np.isfinite(U).all() and (U > 0).all()):
         return None
     return U, result.iterations
 
@@ -437,14 +435,15 @@ def solve_fortet(
 
     ``U=None`` asks for the best default ceiling the problem allows.  For
     a Gaussian or radial kernel on a grid with at least
-    ``problem.COARSE_MIN_POINTS`` points a side, that is the ceiling of a
-    coarse solve (:func:`_coarse_ceiling`; its iterations are
-    ``coarse_iterations``), and the run takes the rescaled step
-    (:func:`_rescaled_step`) instead of the clamp, since from a shaped
-    ceiling the clamp stalls: the floor ``U/n`` then holds indices far
-    longer than from ``U = 1``.  Otherwise, and when the coarse level
-    fails, ``U`` is all ones with the clamp.  A given ``U`` always runs
-    the clamp.
+    ``problem.PLAIN_START_MIN_POINTS`` points a side, that is the
+    normalized potential of a plain solve of the problem itself
+    (:func:`_plain_ceiling`; its iterations are ``plain_iterations``),
+    and the run takes the rescaled step (:func:`_rescaled_step`) instead
+    of the clamp, since from a shaped ceiling the clamp stalls: the floor
+    ``U/n`` then holds indices far longer than from ``U = 1``.
+    Otherwise, and when the plain start fails, ``U`` is all ones with the
+    clamp; a start that fails has then spent up to ``max_iter`` plain
+    iterations before the clamp run.  A given ``U`` always runs the clamp.
 
     The rescaled step keeps the clamp's guarantees: each iterate lies in
     ``[U/n, U]`` and under its predecessor.  Its limit, when positive, is
@@ -467,17 +466,17 @@ def solve_fortet(
     ``MIN_TOL``.
     """
     _check_budget(tol, max_iter)
-    coarse = _coarse_ceiling(problem, max_iter) if U is None else None
-    coarse_iterations = None
-    if coarse is not None:
-        U, coarse_iterations = coarse
+    shaped = _plain_ceiling(problem, max_iter) if U is None else None
+    plain_iterations = None
+    if shaped is not None:
+        U, plain_iterations = shaped
     else:
         U = _check_positive_finite(np.ones(problem.n_x) if U is None else U, "ceiling U",
                                    problem.n_x)
     sup_U = float(np.max(U))
 
     def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
-        if coarse is None:
+        if shaped is None:
             u_next = _clamp_step(phi_u, U, n_next)
         else:
             u_next = _rescaled_step(phi_u, u, U, n_next)
@@ -487,7 +486,7 @@ def solve_fortet(
         # u - u_next is |u_next - u| bit for bit, as it is nonnegative
         return u_next, float(np.maximum.reduce((u - u_next) / u))
 
-    if coarse is None:
+    if shaped is None:
         target, scale = (lambda phi_u: np.minimum(phi_u, U)), (lambda u: sup_U)
     else:
         target, scale = (lambda phi_u: phi_u), (lambda u: float(np.max(u)))
@@ -495,7 +494,7 @@ def solve_fortet(
                       target=target, scale=scale,
                       degenerate_below=DEGENERATE_CUTOFF * float(np.min(U)), ceiling=U,
                       check_dichotomy=bool((kernel_matrix(problem) > 0).all()))
-    result.coarse_iterations = coarse_iterations
+    result.plain_iterations = plain_iterations
     return result
 
 
@@ -580,15 +579,16 @@ def extract_solution(
     ``a = mu/u``, ``b = nu/psi(u)``, and the coupling ``pi[i,j] =
     a_i P[i,j] b_j`` is exact by construction and built only when
     :attr:`SchrodingerSolution.pi` is read.  The free scale is fixed by
-    normalizing sum(a) = 1, which leaves pi unchanged.
+    normalizing sum(a) = 1, which leaves pi unchanged.  ``u_star`` needs
+    one entry per x point and ``psi_star`` one per y point; a wrong shape,
+    a NaN or a negative entry raises ``ValueError``, a zero or infinite
+    one :class:`DegeneratePotential`.
     """
-    u_star = as_ext_array(u_star)
-    if (u_star <= 0).any() or np.isinf(u_star).any():
-        raise DegeneratePotential("potential must be strictly positive and finite")
+    u_star = _check_positive_finite(u_star, "potential", problem.n_x, DegeneratePotential)
     if psi_star is None:
         psi_star = psi(problem, u_star)
-    if (psi_star <= 0).any() or np.isinf(psi_star).any():
-        raise DegeneratePotential("dual potential must be strictly positive and finite")
+    psi_star = _check_positive_finite(psi_star, "dual potential", problem.n_y,
+                                      DegeneratePotential)
     return _solution(problem, problem.mu.weights / u_star, problem.nu.weights / psi_star)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 # NotSPD and SYMMETRY_TOL are re-exported: the SPD check is shared with GaussianKernel
 from .problem import (SYMMETRY_TOL, DiscreteProblem, DiscreteSpace, GaussianKernel,
-                      GridTooLarge, Marginal, NotSPD, _as_spd)
+                      GridTooLarge, Marginal, NotSPD, _as_spd, _gaussian_log_norm)
 
 
 class DimensionMismatch(ValueError):
@@ -77,15 +77,15 @@ class GaussianProblem:
 def gauss_density(kappa, z) -> float:
     """Centered Gaussian density with precision kappa evaluated at z.
 
-    Returns sqrt(det(kappa) / (2 pi)^n) * exp(-z . kappa z / 2).
+    Returns sqrt(det(kappa) / (2 pi)^n) * exp(-z . kappa z / 2), the
+    constant taken as :class:`~schrobridge.problem.GaussianKernel` takes it.
     """
     kappa = _as_spd(kappa, "kappa")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     n = kappa.shape[0]
     if z.shape != (n,):
         raise DimensionMismatch(f"z has shape {z.shape}, expected ({n},)")
-    norm = math.sqrt(np.linalg.det(kappa) / (2.0 * math.pi) ** n)
-    return float(norm * math.exp(-0.5 * float(z @ kappa @ z)))
+    return math.exp(_gaussian_log_norm(kappa)) * math.exp(-0.5 * float(z @ kappa @ z))
 
 
 def _symmetrized_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -203,10 +203,10 @@ def _tensor_grid(precision: np.ndarray, half_width_sigmas: float, points_per_dim
     return points, cell
 
 
-def _density_weights(points: np.ndarray, precision: np.ndarray, cell: float) -> np.ndarray:
-    quad = np.einsum("ik,kl,il->i", points, precision, points)
-    n = precision.shape[0]
-    w = math.sqrt(np.linalg.det(precision) / (2.0 * math.pi) ** n) * np.exp(-0.5 * quad) * cell
+def _density_weights(points: np.ndarray, precision: np.ndarray) -> np.ndarray:
+    """``exp(-quad / 2)`` normalized: the density's constant and the cell
+    volume cancel in the normalization, so neither is computed."""
+    w = np.exp(-0.5 * np.einsum("ik,kl,il->i", points, precision, points))
     return w / w.sum()
 
 
@@ -236,7 +236,7 @@ def discretize_gaussian(
     return DiscreteProblem(
         x_space=DiscreteSpace(x_points, np.full(total, x_cell)),
         y_space=DiscreteSpace(y_points, np.full(total, y_cell)),
-        mu=Marginal(_density_weights(x_points, gp.a, x_cell)),
-        nu=Marginal(_density_weights(y_points, gp.b, y_cell)),
+        mu=Marginal(_density_weights(x_points, gp.a)),
+        nu=Marginal(_density_weights(y_points, gp.b)),
         kernel=GaussianKernel(gp.c),
     )

@@ -671,8 +671,8 @@ _CHECK_CASES = {
          "matrix_criterion": {"xy_holds": True, "yx_holds": True,
                               "xy_min_eig": 0.5, "yx_min_eig": 0.5},
          "discretization": {"points_per_dim": 21, "half_width_sigmas": 6.0},
-         "integral": {"guard": 1e15, "xy": {"finite": True, "value": 5.013220456901387},
-                      "yx": {"finite": True, "value": 5.013220456901387}}},
+         "integral": {"guard": 1e15, "xy": {"finite": True, "value": 5.0132204569013865},
+                      "yx": {"finite": True, "value": 5.0132204569013865}}},
         ["matrix x->y    holds       min eig = 0.5",
          "matrix y->x    holds       min eig = 0.5",
          "integral x->y  finite      value = 5.01322",
@@ -845,6 +845,8 @@ def test_problem_file_with_an_asymmetric_gaussian_precision_exits_one(tmp_path, 
 
 
 def test_check_triple_with_a_precision_near_the_float_range(tmp_path, capsys):
+    import warnings
+
     path, out = tmp_path / "gp.json", tmp_path / "r.json"
     path.write_text('{"a": 1e308, "b": 1.0, "c": 1.0}')
     assert main(["check", "--input", str(path), "--output", str(out)]) == 0
@@ -855,14 +857,21 @@ def test_check_triple_with_a_precision_near_the_float_range(tmp_path, capsys):
     path.write_text(json.dumps({"a": [[1.0, 1e308], [1e308, 1.0]], "b": eye, "c": eye}))
     assert main(["check", "--input", str(path), "--output", str(out)]) == 1
     assert _one_error_line(capsys) == "error: bad gaussian problem: a is not positive definite\n"
+    # det(a) = 1e320 leaves the float range, and the marginal weights need no constant
+    path.write_text(json.dumps({"a": [[1e160, 0.0], [0.0, 1e160]], "b": eye, "c": eye}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command in ("gaussian-gen", "check"):
+            assert main([command, "--input", str(path), "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------------------
-# The default ceiling: a coarse solve for kernels given on points
+# The default ceiling: a plain solve for kernels given on points
 # ---------------------------------------------------------------------------
 
 # the reports of the worked 2x2 as the clamp from U = 1 writes them; a
-# dense kernel has no coarse level, so they keep every byte
+# dense kernel takes no plain start, so they keep every byte
 _TWO_BY_TWO_SOLVE = """{
   "a": [
     0.7101020514233882,
@@ -894,7 +903,7 @@ _TWO_BY_TWO_COMPARE = """{
   "fortet_rel_entropy": -2.1859366056205083,
   "fortet_status": "converged-positive",
   "gap_tol": 1e-08,
-  "potential_gap": 1.5987211554602254e-14,
+  "potential_gap": 2.6645352591003757e-15,
   "sinkhorn_rel_entropy": -2.1859366056205065
 }
 """
@@ -921,19 +930,20 @@ def test_coarse_start_on_the_801_point_gaussian(tmp_path):
     out = tmp_path / "r.json"
     assert main(["solve", "--input", path, "--output", str(out)]) == 0
     report = read(out)
-    assert report["ceiling"] == "coarse" and report["coarse_iterations"] > 0
-    assert report["iterations"] <= 40
+    assert report["ceiling"] == "plain" and report["plain_iterations"] > 0
+    assert report["iterations"] + report["plain_iterations"] <= 29
     assert max(report["marginal_err_x"], report["marginal_err_y"]) <= 1e-10
     assert main(["compare", "--input", path, "--output", str(out)]) == 0
     report = read(out)
-    assert report["ceiling"] == "coarse" and report["fortet_iterations"] <= 40
+    assert report["ceiling"] == "plain"
+    assert report["fortet_iterations"] + report["plain_iterations"] <= 39
     assert report["potential_gap"] <= 1e-8
 
 
 def test_small_point_grid_report_has_no_ceiling_keys(tmp_path, gaussian_file):
     out = tmp_path / "r.json"
     assert main(["solve", "--input", gaussian_file, "--output", str(out)]) == 0
-    assert not {"ceiling", "coarse_iterations"} & read(out).keys()
+    assert not {"ceiling", "plain_iterations"} & read(out).keys()
 
 
 @pytest.mark.parametrize("name, a, b", [
@@ -949,14 +959,30 @@ def test_two_dimensional_gaussians_solve_from_the_default_ceiling(tmp_path, name
     assert main(["solve", "--input", path, "--output", str(out), "--tol", tol,
                  "--max-iter", "30000"]) == 0
     report = read(out)
-    assert report["ceiling"] == "coarse" and report["iterations"] <= 100
+    assert report["ceiling"] == "plain" and report["iterations"] <= 100
 
 
 def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
-    # a coarse level that is irreducible, and one out of budget: both runs
-    # are the clamp's from U = 1, byte for byte, with no warning
+    # a plain start out of budget: both runs are the clamp's from U = 1,
+    # byte for byte, with no warning
     import warnings
 
+    g801 = _gaussian_problem_file(tmp_path, "g801", 1.0, 1.0, 1.0, 801)
+    ones = tmp_path / "ones.json"
+    ones.write_text(json.dumps([1.0] * 801))
+    # compare exits 2: a Fortet run out of budget fails the comparison
+    for command, code in (("solve", 3), ("compare", 2)):
+        default, given = tmp_path / "default.json", tmp_path / "given.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = main([command, "--input", g801, "--output", str(default), "--max-iter", "5"])
+        assert got == main([command, "--input", g801, "--output", str(given), "--max-iter", "5",
+                            "--U", str(ones)])
+        assert got == code
+        assert default.read_bytes() == given.read_bytes()
+    assert capsys.readouterr().err == ""
+    # y is x rolled by 4 points, so the c = 100 kernel vanishes far off that
+    # band; the plain start solves it in 1 iteration, and so does the run
     n = 104
     x = np.arange(n, dtype=float)[:, None]
     rolled = tmp_path / "rolled.json"
@@ -965,24 +991,10 @@ def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
         "y_space": {"points": np.roll(x, -4, axis=0).tolist(), "weights": [1.0] * n},
         "mu": [1.0 / n] * n, "nu": [1.0 / n] * n,
         "kernel": {"kind": "gaussian", "c": [[100.0]]}}))
-    g801 = _gaussian_problem_file(tmp_path, "g801", 1.0, 1.0, 1.0, 801)
-    # compare exits 2 on both: the oracle refuses a kernel with zeros, and
-    # a Fortet run out of budget fails the comparison
-    cases = [(str(rolled), n, [], {"solve": 0, "compare": 2}),
-             (g801, 801, ["--max-iter", "5"], {"solve": 3, "compare": 2})]
-    for path, size, extra, codes in cases:
-        ones = tmp_path / f"ones{size}.json"
-        ones.write_text(json.dumps([1.0] * size))
-        for command in ("solve", "compare"):
-            default, given = tmp_path / "default.json", tmp_path / "given.json"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                got = main([command, "--input", path, "--output", str(default), *extra])
-            assert got == main([command, "--input", path, "--output", str(given), *extra,
-                                "--U", str(ones)])
-            assert got == codes[command]
-            assert default.read_bytes() == given.read_bytes()
-    assert capsys.readouterr().err == ""
+    out = tmp_path / "rolled-out.json"
+    assert main(["solve", "--input", str(rolled), "--output", str(out)]) == 0
+    report = read(out)
+    assert (report["ceiling"], report["plain_iterations"], report["iterations"]) == ("plain", 1, 1)
 
 
 @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
@@ -1001,3 +1013,16 @@ def test_gaussian_precision_with_a_determinant_out_of_range_solves(tmp_path, cap
         assert main(["solve", "--input", str(path), "--output", str(tmp_path / "r.json")]) == 0
     assert read(tmp_path / "r.json")["a"] == [0.25] * 4
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name, a, b, c, points", [
+    # a potential spanning ~60 orders of magnitude
+    ("hard", np.diag([0.1, 10.0]), np.diag([10.0, 0.1]), np.eye(2), 31),
+    ("c10", 1.0, 1.0, 10.0, 201),
+])
+def test_compare_gap_is_scale_free(tmp_path, name, a, b, c, points):
+    path = _gaussian_problem_file(tmp_path, name, a, b, c, points)
+    out = tmp_path / "r.json"
+    assert main(["compare", "--input", path, "--output", str(out)]) == 0
+    report = read(out)
+    assert report["potential_gap"] <= 1e-10 and report["coupling_gap"] <= 1e-14

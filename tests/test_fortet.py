@@ -417,6 +417,25 @@ def test_extract_rejects_degenerate_potentials(two_by_two):
         extract_solution(two_by_two, np.array([0.0, 1.0]))
     with pytest.raises(DegeneratePotential):
         extract_solution(two_by_two, np.array([INF, 1.0]))
+    with pytest.raises(DegeneratePotential):
+        extract_solution(two_by_two, np.ones(2), psi_star=np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("u_star, psi_star", [
+    ([2.0], [1.0, 1.0]),              # one entry short: it would broadcast over both rows
+    ([1.0, 1.0, 1.0], None),
+    ([1.0, 1.0], [1.0]),
+    ([1.0, 1.0], [1.0, 1.0, 1.0]),
+    ([math.nan, 1.0], None),
+    ([1.0, 1.0], [math.nan, 1.0]),
+    ([1.0, 1.0], [-1.0, 1.0]),
+])
+def test_extract_rejects_a_potential_of_the_wrong_shape_or_with_nan(two_by_two, u_star,
+                                                                    psi_star):
+    with pytest.raises(ValueError) as info:
+        extract_solution(two_by_two, np.array(u_star),
+                         psi_star=None if psi_star is None else np.array(psi_star))
+    assert not isinstance(info.value, DegeneratePotential)
 
 
 def test_extract_scale_invariance(two_by_two):
@@ -899,7 +918,7 @@ def test_solvers_take_the_scalar_guards(gaussian_801, hard_gaussian_2d, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# Coarse-grid start for kernels given on points
+# The plain start for kernels given on points
 # ---------------------------------------------------------------------------
 
 
@@ -931,15 +950,16 @@ def test_rescaled_step_is_monotone_and_bounded(seed, nx, ny, spread):
     _assert_rescaled_steps_stay_in_bounds(problem, U, 40)
 
 
-@pytest.mark.parametrize("c, k", [(1.0, 15), (10.0, 100)])
+@pytest.mark.parametrize("c, k", [(1.0, 10), (10.0, 100)])
 def test_rescaled_step_from_the_coarse_ceiling_is_the_solver_loop(c, k):
     # the loop of solve_fortet, step for step, against the chained steps;
-    # the coarse run shares the budget k (it takes 10 and 75 iterations)
+    # the plain start shares the budget k (it takes 9 and 72 iterations),
+    # and the fine run needs more (13 and 109 at MIN_TOL)
     problem = _unit_gaussian(c, 201)
-    U, _ = fortet._coarse_ceiling(problem, k)
+    U, _ = fortet._plain_ceiling(problem, k)
     u = _assert_rescaled_steps_stay_in_bounds(problem, U, k)
     result = solve_fortet(problem, tol=MIN_TOL, max_iter=k)
-    assert result.status == "max-iter" and result.coarse_iterations is not None
+    assert result.status == "max-iter" and result.plain_iterations is not None
     assert np.array_equal(result.u_star, u)
 
 
@@ -947,12 +967,12 @@ def test_rescaled_step_from_the_coarse_ceiling_is_the_solver_loop(c, k):
 def test_coarse_start_reaches_the_coupling_of_the_clamp_run(c, most):
     # the clamp from U = 1 takes 971, 7397 and 9753 iterations here
     problem = _unit_gaussian(c, 201)
-    coarse = solve_fortet(problem, tol=1e-10)
+    plain = solve_fortet(problem, tol=1e-10)
     clamp = solve_fortet(problem, U=np.ones(problem.n_x), tol=1e-10)
-    assert coarse.status == clamp.status == STATUS_CONVERGED
-    assert coarse.coarse_iterations > 0 and clamp.coarse_iterations is None
-    assert coarse.iterations <= most < clamp.iterations
-    gap = np.max(np.abs(extract_solution(problem, coarse.u_star).pi
+    assert plain.status == clamp.status == STATUS_CONVERGED
+    assert plain.plain_iterations > 0 and clamp.plain_iterations is None
+    assert plain.iterations + plain.plain_iterations <= most < clamp.iterations
+    gap = np.max(np.abs(extract_solution(problem, plain.u_star).pi
                         - extract_solution(problem, clamp.u_star).pi))
     assert gap <= 1e-8
 
@@ -960,13 +980,14 @@ def test_coarse_start_reaches_the_coupling_of_the_clamp_run(c, most):
 def test_point_kernel_below_the_coarse_minimum_keeps_the_clamp(gaussian_1d_small):
     default = solve_fortet(gaussian_1d_small, tol=1e-10)
     ones = solve_fortet(gaussian_1d_small, U=np.ones(gaussian_1d_small.n_x), tol=1e-10)
-    assert default.coarse_iterations is None
+    assert default.plain_iterations is None
     assert default.iterations == ones.iterations
     assert np.array_equal(default.u_star, ones.u_star)
 
 
 def _rolled_problem():
-    """A solvable c = 100 Gaussian problem whose coarse level is irreducible."""
+    """A solvable c = 100 Gaussian problem whose y grid is its x grid rolled
+    by 4 points, so that its kernel vanishes far off that band."""
     n = 104
     x = np.arange(n, dtype=float)
     uniform = Marginal(np.full(n, 1.0 / n))
@@ -975,32 +996,41 @@ def _rolled_problem():
         uniform, uniform, GaussianKernel([[100.0]])))
 
 
-def _failed_coarse_levels(monkeypatch):
-    """(name, problem, max_iter) whose coarse level fails, each in its own way."""
+def _failed_plain_starts(monkeypatch):
+    """(name, problem, max_iter) whose plain start fails, each in its own way."""
     gauss = _unit_gaussian(1.0, 801)
-    yield "irreducible", _rolled_problem(), 100_000
-    # the coarse run needs 10 iterations
+    # the plain start needs 9 iterations
     yield "max-iter", gauss, 5
-    # a coarse potential of infinities gives psi = 0
     real = fortet.solve_untruncated
 
+    def vanishing(problem, **kwargs):
+        raise NonFiniteIntermediate("dual vanished")
+
+    monkeypatch.setattr(fortet, "solve_untruncated", vanishing)
+    yield "non-finite-intermediate", gauss, 100_000
+
+    # a potential of infinities gives U = inf / inf
     def infinite(problem, **kwargs):
         result = real(problem, **kwargs)
         result.u_star = np.full(problem.n_x, INF)
         return result
 
     monkeypatch.setattr(fortet, "solve_untruncated", infinite)
-    yield "psi-zero", gauss, 100_000
+    yield "non-finite", gauss, 100_000
 
 
 def test_failed_coarse_level_falls_back_to_the_clamp(monkeypatch):
     import warnings
 
-    for name, problem, max_iter in _failed_coarse_levels(monkeypatch):
+    for name, problem, max_iter in _failed_plain_starts(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             default = solve_fortet(problem, max_iter=max_iter)
         ones = solve_fortet(problem, U=np.ones(problem.n_x), max_iter=max_iter)
-        assert default.coarse_iterations is None, name
+        assert default.plain_iterations is None, name
         assert (default.status, default.iterations) == (ones.status, ones.iterations), name
         assert np.array_equal(default.u_star, ones.u_star), name
+    monkeypatch.undo()
+    rolled = solve_fortet(_rolled_problem())
+    assert (rolled.status, rolled.iterations, rolled.plain_iterations) == (
+        STATUS_CONVERGED, 1, 1)

@@ -33,6 +33,13 @@ def test_density_scalar_at_one():
     assert gauss_density([[1.0]], [1.0]) == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_density_with_a_determinant_past_the_float_range_stays_finite():
+    # det(1e200 I) = 1e400 overflows; the density at 0 is 1e200 / (2 pi)
+    got = gauss_density(1e200 * np.eye(2), [0.0, 0.0])
+    assert got == pytest.approx(1e200 / (2 * math.pi), rel=1e-12)
+
+
 def test_density_rejects_non_spd():
     with pytest.raises(NotSPD):
         gauss_density([[0.0]], [0.0])

@@ -25,7 +25,7 @@ from schrobridge import (
     save_problem,
     validate_reduction,
 )
-from schrobridge.problem import COARSE_MIN_POINTS, COARSE_STRIDE, coarse_problem
+from schrobridge.problem import PLAIN_START_MIN_POINTS, takes_plain_start
 from conftest import build_dense_problem
 
 
@@ -355,50 +355,10 @@ def _gaussian_grid_problem(n, c=1.0):
                            Marginal(w / w.sum()), Marginal(w / w.sum()), GaussianKernel([[c]]))
 
 
-def test_coarse_problem_keeps_every_eighth_point_and_moves_mass_to_the_nearest():
-    problem = _gaussian_grid_problem(201)
-    coarse, ix = coarse_problem(problem)
-    assert np.array_equal(ix, np.arange(0, 201, COARSE_STRIDE))
-    assert isinstance(coarse.kernel, GaussianKernel) and coarse.n_x == coarse.n_y == 26
-    assert np.array_equal(coarse.x_space.points, problem.x_space.points[ix])
-    # the coarse kernel is the slice of the fine matrix, bit for bit
-    assert np.array_equal(kernel_matrix(coarse), kernel_matrix(problem)[np.ix_(ix, ix)])
-    assert not kernel_matrix(coarse).flags.writeable
-    # brute force: each fine point's mass goes to its nearest kept point
-    dist = np.abs(problem.x_space.points - problem.x_space.points[ix].T)
-    mass = np.bincount(np.argmin(dist, axis=1), weights=problem.mu.weights)
-    np.testing.assert_allclose(coarse.mu.weights, mass / mass.sum(), rtol=1e-15, atol=0)
-    assert math.isclose(math.fsum(coarse.nu.weights), 1.0, rel_tol=1e-14)
-
-
-def test_nearest_point_search_in_blocks_equals_the_whole_search(monkeypatch):
-    from schrobridge import problem as problem_module
-
-    rng = np.random.default_rng(5)
-    points, centers = rng.normal(size=(300, 2)), rng.normal(size=(17, 2))
-    whole = np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
-    for block in (1, 40, 1 << 16):
-        monkeypatch.setattr(problem_module, "_NEAREST_BLOCK", block)
-        assert np.array_equal(problem_module._nearest(points, centers), whole)
-
-
-def test_no_coarse_problem_without_geometry_or_below_the_minimum():
-    assert coarse_problem(_gaussian_grid_problem(COARSE_MIN_POINTS)) is not None
-    assert coarse_problem(_gaussian_grid_problem(COARSE_MIN_POINTS - 1)) is None
+def test_plain_start_needs_geometry_and_the_minimum():
+    assert takes_plain_start(_gaussian_grid_problem(PLAIN_START_MIN_POINTS))
+    assert not takes_plain_start(_gaussian_grid_problem(PLAIN_START_MIN_POINTS - 1))
     rng = np.random.default_rng(3)
-    n = COARSE_MIN_POINTS + 1
+    n = PLAIN_START_MIN_POINTS + 1
     dense = build_dense_problem(rng.uniform(0.1, 1.0, (n, n)), np.full(n, 1 / n), np.full(n, 1 / n))
-    assert coarse_problem(dense) is None
-
-
-def test_irreducible_coarse_problem_raises():
-    # y is x rolled by 4 in file order, so every kept y point lies 4 or more
-    # from every kept x point, where the c = 100 kernel underflows to 0
-    n = 104
-    x = np.arange(n, dtype=float)
-    uniform = Marginal(np.full(n, 1.0 / n))
-    problem = DiscreteProblem(DiscreteSpace(x, np.ones(n)), DiscreteSpace(np.roll(x, -4), np.ones(n)),
-                              uniform, uniform, GaussianKernel([[100.0]]))
-    validate_reduction(problem)
-    with pytest.raises(IrreducibleProblem):
-        coarse_problem(problem)
+    assert not takes_plain_start(dense)
