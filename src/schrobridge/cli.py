@@ -46,14 +46,13 @@ that none was found, which is not a proof that a solution exists.
 
 ``--U ones``, the default of ``solve --scheme truncated`` and ``compare``,
 asks for the default ceiling (``fortet.solve_fortet`` with ``U=None``):
-for a Gaussian or radial kernel with at least
-``problem.PLAIN_START_MIN_POINTS`` points a side, the normalized
-potential of a plain solve of the problem, from which the run takes the
-rescaled step; all ones with the clamp for a dense kernel, a smaller
-grid, or a plain start that fails.  A run from a plain start adds
-``ceiling: "plain"`` and ``plain_iterations`` (the plain run's;
-``iterations`` and ``fortet_iterations`` count the truncated run) to
-its report; every other report is unchanged.
+the normalized potential of a plain solve of the problem, from which the
+run takes the rescaled step; all ones with the clamp when the plain
+start fails.  A run from a plain start adds ``ceiling: "plain"`` and
+``plain_iterations`` (the plain run's; ``iterations`` and
+``fortet_iterations`` count the truncated run) to its report.  A
+``--U`` file runs the clamp from that ceiling, the paper's scheme; a
+file of ones gives the clamp from ``U = 1``.
 
 Reports are JSON with sorted keys (byte-identical for identical inputs);
 infinities are serialized as the string "inf".  A solution report holds
@@ -259,7 +258,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _ceiling_keys(result: ft.FixedPointResult) -> dict:
     """``ceiling: "plain"`` and ``plain_iterations`` for a run from a plain
-    start; nothing otherwise, so every other report keeps its bytes."""
+    start; nothing for a clamp run (a given ``U``, or a plain start that
+    failed), so its report has the keys the clamp has always written."""
     if result.plain_iterations is None:
         return {}
     return {"ceiling": "plain", "plain_iterations": result.plain_iterations}
@@ -477,9 +477,9 @@ def build_parser() -> argparse.ArgumentParser:
     fortet = argparse.ArgumentParser(add_help=False)
     fortet.add_argument("--max-iter", type=int, default=100_000)
     fortet.add_argument("--U", default="ones",
-                        help="'ones' for the default ceiling (shaped by a plain solve "
-                             "for a Gaussian or radial kernel on a large grid, all ones "
-                             "otherwise) or a JSON file with the ceiling vector")
+                        help="'ones' for the default ceiling (shaped by a plain solve, "
+                             "all ones if that fails) or a JSON file with the ceiling "
+                             "vector, which runs the clamp")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--points-per-dim", type=int)
     grid.add_argument("--half-width-sigmas", type=float, default=6.0)

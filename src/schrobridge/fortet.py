@@ -15,8 +15,8 @@ which decreases monotonically, stays within [U/n, U], and keeps every
 iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
 (the identity clamp), the classical potential form of Sinkhorn /
 iterative proportional fitting.  The truncated scheme's default ceiling
-for a kernel given on points is shaped by a plain solve of the problem
-itself, and from it the run takes the rescaled step
+is shaped by a plain solve of the problem itself, and from it the run
+takes the rescaled step
 
     u_{n+1} = max(U/(n+1), min(s_n phi(u_n), u_n)),   s_n = min(1, min_i u_i / phi_i(u_n)),
 
@@ -50,7 +50,7 @@ from .extnum import (
     ext_matvec,
     scaled_inverse,
 )
-from .problem import DiscreteProblem, DenseKernel, kernel_matrix, takes_plain_start
+from .problem import DiscreteProblem, DenseKernel, kernel_matrix
 
 STATUS_CONVERGED = "converged-positive"
 STATUS_DEGENERATE = "degenerate-zero"
@@ -402,15 +402,12 @@ def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
 def _plain_ceiling(problem: DiscreteProblem, max_iter: int) -> tuple[np.ndarray, int] | None:
     """The default ceiling shaped by a plain solve, and that solve's iterations.
 
-    For a problem that takes the plain start (:func:`problem.takes_plain_start`),
-    the plain scheme runs on the problem itself to ``PLAIN_START_TOL``
+    The plain scheme runs on the problem itself to ``PLAIN_START_TOL``
     from all ones, and its potential ``u`` gives ``U = u / max(u)``.
-    None for any other problem, and when the run raises
-    :class:`NonFiniteIntermediate` or does not converge within
-    ``max_iter``, or ``U`` is not finite and strictly positive.
+    None when the run raises :class:`NonFiniteIntermediate` or does not
+    converge within ``max_iter``, or ``U`` is not finite and strictly
+    positive.
     """
-    if not takes_plain_start(problem):
-        return None
     try:
         result = solve_untruncated(problem, tol=PLAIN_START_TOL, max_iter=max_iter)
     except NonFiniteIntermediate:
@@ -433,17 +430,17 @@ def solve_fortet(
 ) -> FixedPointResult:
     """Run the truncated scheme from u_1 = U until the iterate settles.
 
-    ``U=None`` asks for the best default ceiling the problem allows.  For
-    a Gaussian or radial kernel on a grid with at least
-    ``problem.PLAIN_START_MIN_POINTS`` points a side, that is the
-    normalized potential of a plain solve of the problem itself
-    (:func:`_plain_ceiling`; its iterations are ``plain_iterations``),
-    and the run takes the rescaled step (:func:`_rescaled_step`) instead
-    of the clamp, since from a shaped ceiling the clamp stalls: the floor
-    ``U/n`` then holds indices far longer than from ``U = 1``.
-    Otherwise, and when the plain start fails, ``U`` is all ones with the
-    clamp; a start that fails has then spent up to ``max_iter`` plain
-    iterations before the clamp run.  A given ``U`` always runs the clamp.
+    ``U=None`` asks for the default ceiling: the normalized potential of
+    a plain solve of the problem itself (:func:`_plain_ceiling`; its
+    iterations are ``plain_iterations``), from which the run takes the
+    rescaled step (:func:`_rescaled_step`) instead of the clamp, since
+    from a shaped ceiling the clamp stalls: the floor ``U/n`` then holds
+    indices far longer than from ``U = 1``.  On a positive kernel the
+    plain scheme is Sinkhorn's iteration, which converges whenever a
+    scaling exists.  When the plain start fails, ``U`` is all ones with
+    the clamp; a start that fails has then spent up to ``max_iter`` plain
+    iterations before the clamp run.  A given ``U`` always runs the
+    clamp, which is the paper's scheme.
 
     The rescaled step keeps the clamp's guarantees: each iterate lies in
     ``[U/n, U]`` and under its predecessor.  Its limit, when positive, is

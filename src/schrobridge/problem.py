@@ -354,19 +354,6 @@ def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
     return problem._matrix
 
 
-#: The fewest points a side for which a Gaussian or radial kernel takes the
-#: plain start of :func:`fortet.solve_fortet`.
-PLAIN_START_MIN_POINTS = 64
-
-
-def takes_plain_start(problem: DiscreteProblem) -> bool:
-    """Whether ``solve_fortet``'s default ceiling is shaped by a plain solve:
-    for a Gaussian or radial kernel with at least ``PLAIN_START_MIN_POINTS``
-    points a side.  A dense kernel and a smaller grid keep ``U = 1``."""
-    return (not isinstance(problem.kernel, DenseKernel)
-            and min(problem.n_x, problem.n_y) >= PLAIN_START_MIN_POINTS)
-
-
 def validate_reduction(problem: DiscreteProblem) -> DiscreteProblem:
     """Apply the support reduction and verify mutual reachability.
 

@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-from schrobridge import (
+# one BLAS thread, set before numpy loads OpenBLAS: the timed tests then
+# measure the program, not how many cores a loaded machine has free
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from schrobridge import (  # noqa: E402
     DenseKernel,
     DiscreteProblem,
     DiscreteSpace,

@@ -34,6 +34,13 @@ def read(path):
         return json.load(fh)
 
 
+def ones_file(tmp_path, n):
+    """A ``--U`` file of ones: the clamp from U = 1."""
+    path = tmp_path / "ones.json"
+    path.write_text(json.dumps([1.0] * n))
+    return str(path)
+
+
 def assert_report_rebuilds_pi(report, problem_path):
     # a report carries no dense coupling; a P b from its scalings has the marginals
     assert "pi" not in report
@@ -218,8 +225,21 @@ def test_compare_degenerate_exit_two(tmp_path):
     )
     path = tmp_path / "deg.json"
     save_problem(problem, str(path))
-    code = main(["compare", "--input", str(path), "--output", str(tmp_path / "c.json")])
+    code = main(["compare", "--input", str(path), "--output", str(tmp_path / "c.json"),
+                 "--U", ones_file(tmp_path, 2)])
     assert code == 2
+
+
+def test_compare_solves_the_row_scaled_far_below_the_cutoff_by_default(tmp_path):
+    # the clamp from U = 1 collapses on this problem; the plain start solves it
+    problem = build_dense_problem(
+        [[1.0, 1.0], [1e-18, 1e-18]], [0.5, 0.5], [0.5, 0.5]
+    )
+    path = tmp_path / "deg.json"
+    save_problem(problem, str(path))
+    out = tmp_path / "c.json"
+    assert main(["compare", "--input", str(path), "--output", str(out)]) == 0
+    assert read(out)["fortet_status"] == "converged-positive"
 
 
 def test_gaussian_gen_roundtrip(tmp_path):
@@ -329,6 +349,18 @@ def test_solve_monotonicity_violation_exit_two(tmp_path, two_by_two_file, capsys
     from schrobridge import fortet
 
     monkeypatch.setattr(fortet, "_clamp_step", lambda phi_u, ceiling, n_next: 2.0 * ceiling)
+    code = main(["solve", "--input", two_by_two_file, "--output", str(tmp_path / "s.json"),
+                 "--U", ones_file(tmp_path, 2)])
+    assert code == 2
+    assert "monotone" in _one_error_line(capsys)
+
+
+def test_default_run_monotonicity_violation_exit_two(tmp_path, two_by_two_file, capsys,
+                                                     monkeypatch):
+    from schrobridge import fortet
+
+    monkeypatch.setattr(fortet, "_rescaled_step",
+                        lambda phi_u, u, ceiling, n_next: 2.0 * ceiling)
     code = main(["solve", "--input", two_by_two_file, "--output", str(tmp_path / "s.json")])
     assert code == 2
     assert "monotone" in _one_error_line(capsys)
@@ -867,11 +899,11 @@ def test_check_triple_with_a_precision_near_the_float_range(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The default ceiling: a plain solve for kernels given on points
+# The default ceiling: a plain solve of the problem itself
 # ---------------------------------------------------------------------------
 
-# the reports of the worked 2x2 as the clamp from U = 1 writes them; a
-# dense kernel takes no plain start, so they keep every byte
+# the reports of the worked 2x2 as the clamp from U = 1 (``--U`` with a
+# file of ones) writes them
 _TWO_BY_TWO_SOLVE = """{
   "a": [
     0.7101020514233882,
@@ -910,11 +942,29 @@ _TWO_BY_TWO_COMPARE = """{
 
 
 @pytest.mark.parametrize("command, expected", [("solve", _TWO_BY_TWO_SOLVE),
-                                               ("compare", _TWO_BY_TWO_COMPARE)])
+                                               ("compare", _TWO_BY_TWO_COMPARE)],
+                         ids=["solve", "compare"])
 def test_dense_reports_keep_their_bytes(tmp_path, two_by_two_file, command, expected):
     out = tmp_path / "r.json"
-    assert main([command, "--input", two_by_two_file, "--output", str(out)]) == 0
+    assert main([command, "--input", two_by_two_file, "--output", str(out),
+                 "--U", ones_file(tmp_path, 2)]) == 0
     assert out.read_text() == expected
+
+
+@pytest.mark.parametrize("command, plain, truncated", [("solve", 4, 2), ("compare", 4, 4)])
+def test_default_reports_of_the_two_by_two(tmp_path, two_by_two_file, command, plain,
+                                           truncated):
+    # the clamp from U = 1 takes 33 (solve) and 47 (compare) iterations
+    out = tmp_path / "r.json"
+    assert main([command, "--input", two_by_two_file, "--output", str(out)]) == 0
+    report = read(out)
+    iterations = report["iterations" if command == "solve" else "fortet_iterations"]
+    assert (report["ceiling"], report["plain_iterations"], iterations) == (
+        "plain", plain, truncated)
+    if command == "solve":
+        pinned = json.loads(_TWO_BY_TWO_SOLVE)
+        for key in ("a", "b"):
+            np.testing.assert_allclose(report[key], pinned[key], rtol=0, atol=1e-10)
 
 
 def _gaussian_problem_file(tmp_path, name, a, b, c, points):
@@ -938,12 +988,6 @@ def test_coarse_start_on_the_801_point_gaussian(tmp_path):
     assert report["ceiling"] == "plain"
     assert report["fortet_iterations"] + report["plain_iterations"] <= 39
     assert report["potential_gap"] <= 1e-8
-
-
-def test_small_point_grid_report_has_no_ceiling_keys(tmp_path, gaussian_file):
-    out = tmp_path / "r.json"
-    assert main(["solve", "--input", gaussian_file, "--output", str(out)]) == 0
-    assert not {"ceiling", "plain_iterations"} & read(out).keys()
 
 
 @pytest.mark.parametrize("name, a, b", [

@@ -23,6 +23,7 @@ from schrobridge import (
     extract_solution,
     iterate_truncated,
     kernel_matrix,
+    make_radial_kernel,
     normalization_check,
     phi,
     psi,
@@ -326,14 +327,28 @@ def test_solvers_agree_with_chained_single_steps(two_by_two, size):
 
 
 def test_solve_fortet_degenerate_cutoff_rule():
-    # one row scaled far below the collapse cutoff: phi(U) starts under
-    # 1e-13 * min U while still decreasing, which is the declared
-    # degenerate-zero trigger
+    # one row scaled far below the collapse cutoff: under the clamp from
+    # U = 1, phi(U) starts under 1e-13 * min U while still decreasing,
+    # which is the declared degenerate-zero trigger
+    problem = validate_reduction(
+        build_dense_problem([[1.0, 1.0], [1e-18, 1e-18]], [0.5, 0.5], [0.5, 0.5])
+    )
+    result = solve_fortet(problem, U=np.ones(problem.n_x))
+    assert result.status == STATUS_DEGENERATE
+
+
+def test_default_solves_the_row_scaled_far_below_the_cutoff():
+    # the same problem has a scaling, a_0 / a_1 = 1e-18, which the plain
+    # start finds where the clamp from U = 1 reports degenerate-zero
     problem = validate_reduction(
         build_dense_problem([[1.0, 1.0], [1e-18, 1e-18]], [0.5, 0.5], [0.5, 0.5])
     )
     result = solve_fortet(problem)
-    assert result.status == STATUS_DEGENERATE
+    assert (result.status, result.plain_iterations, result.iterations) == (
+        STATUS_CONVERGED, 2, 1)
+    sol = extract_solution(problem, result.u_star, psi_star=result.psi_star)
+    assert sol.a[0] / sol.a[1] == pytest.approx(1e-18, rel=1e-12)
+    assert max(sol.marginal_err_x, sol.marginal_err_y) <= 1e-16
 
 
 def test_solve_fortet_infeasible_support_exhausts_budget():
@@ -785,6 +800,14 @@ def test_solve_fortet_raises_on_dichotomy_violation():
 def test_solve_fortet_raises_on_monotonicity_violation(two_by_two, monkeypatch):
     monkeypatch.setattr(fortet, "_clamp_step", lambda phi_u, ceiling, n_next: 2.0 * ceiling)
     with pytest.raises(MonotonicityViolated) as info:
+        solve_fortet(two_by_two, U=np.ones(two_by_two.n_x))
+    assert isinstance(info.value, RuntimeError)
+
+
+def test_default_run_raises_on_monotonicity_violation(two_by_two, monkeypatch):
+    monkeypatch.setattr(fortet, "_rescaled_step",
+                        lambda phi_u, u, ceiling, n_next: 2.0 * ceiling)
+    with pytest.raises(MonotonicityViolated) as info:
         solve_fortet(two_by_two)
     assert isinstance(info.value, RuntimeError)
 
@@ -918,7 +941,7 @@ def test_solvers_take_the_scalar_guards(gaussian_801, hard_gaussian_2d, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# The plain start for kernels given on points
+# The default ceiling: a plain solve of the problem itself
 # ---------------------------------------------------------------------------
 
 
@@ -977,12 +1000,45 @@ def test_coarse_start_reaches_the_coupling_of_the_clamp_run(c, most):
     assert gap <= 1e-8
 
 
-def test_point_kernel_below_the_coarse_minimum_keeps_the_clamp(gaussian_1d_small):
-    default = solve_fortet(gaussian_1d_small, tol=1e-10)
-    ones = solve_fortet(gaussian_1d_small, U=np.ones(gaussian_1d_small.n_x), tol=1e-10)
-    assert default.plain_iterations is None
-    assert default.iterations == ones.iterations
-    assert np.array_equal(default.u_star, ones.u_star)
+def _assert_default_is_the_plain_start(problem):
+    """The default run starts from a plain solve, converges, and reaches the
+    coupling of the clamp run from U = 1."""
+    default = solve_fortet(problem, tol=1e-10)
+    clamp = solve_fortet(problem, U=np.ones(problem.n_x), tol=1e-10)
+    assert default.plain_iterations is not None
+    assert default.status == clamp.status == STATUS_CONVERGED
+    gap = np.max(np.abs(extract_solution(problem, default.u_star, default.psi_star).pi
+                        - extract_solution(problem, clamp.u_star, clamp.psi_star).pi))
+    assert gap <= 1e-9
+
+
+def _small_radial_problem():
+    x = np.linspace(-1.0, 1.0, 5)
+    uniform = Marginal(np.full(5, 0.2))
+    return validate_reduction(DiscreteProblem(
+        DiscreteSpace(x, np.ones(5)), DiscreteSpace(x, np.ones(5)), uniform, uniform,
+        make_radial_kernel("exponential", rate=1.0)))
+
+
+_EVERY_KERNEL = {
+    "two-by-two": lambda: validate_reduction(
+        build_dense_problem([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5], [0.5, 0.5])),
+    "dense-15x12": lambda: random_positive_problem(np.random.default_rng(16), 15, 12),
+    "gaussian-21": lambda: _unit_gaussian(1.0, 21),
+    "radial-5": _small_radial_problem,
+}
+
+
+@pytest.mark.parametrize("name", list(_EVERY_KERNEL))
+def test_default_is_the_plain_start_for_every_kernel(name):
+    _assert_default_is_the_plain_start(_EVERY_KERNEL[name]())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 8), ny=st.integers(1, 8))
+def test_default_reaches_the_clamp_coupling_on_small_dense_problems(seed, nx, ny):
+    _assert_default_is_the_plain_start(random_positive_problem(np.random.default_rng(seed),
+                                                               nx, ny))
 
 
 def _rolled_problem():

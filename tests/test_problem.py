@@ -25,7 +25,6 @@ from schrobridge import (
     save_problem,
     validate_reduction,
 )
-from schrobridge.problem import PLAIN_START_MIN_POINTS, takes_plain_start
 from conftest import build_dense_problem
 
 
@@ -345,20 +344,3 @@ def test_gaussian_normalizer_comes_from_the_log_determinant(scale):
                         scale / (2.0 * math.pi) * np.exp(-0.5 * scale * sq))
     np.testing.assert_allclose(P, expected, rtol=1e-12, atol=0)
     assert (P > 0).any() and np.isfinite(P).all()
-
-
-def _gaussian_grid_problem(n, c=1.0):
-    x = np.linspace(-6.0, 6.0, n)
-    w = np.exp(-x * x / 2)
-    return DiscreteProblem(DiscreteSpace(x, np.full(n, x[1] - x[0])),
-                           DiscreteSpace(x, np.full(n, x[1] - x[0])),
-                           Marginal(w / w.sum()), Marginal(w / w.sum()), GaussianKernel([[c]]))
-
-
-def test_plain_start_needs_geometry_and_the_minimum():
-    assert takes_plain_start(_gaussian_grid_problem(PLAIN_START_MIN_POINTS))
-    assert not takes_plain_start(_gaussian_grid_problem(PLAIN_START_MIN_POINTS - 1))
-    rng = np.random.default_rng(3)
-    n = PLAIN_START_MIN_POINTS + 1
-    dense = build_dense_problem(rng.uniform(0.1, 1.0, (n, n)), np.full(n, 1 / n), np.full(n, 1 / n))
-    assert not takes_plain_start(dense)
