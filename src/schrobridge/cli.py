@@ -45,14 +45,15 @@ finds it.  Such a ``check`` reports the certificate under
 that none was found, which is not a proof that a solution exists.
 
 ``--U ones``, the default of ``solve --scheme truncated`` and ``compare``,
-asks for the default ceiling (``fortet.solve_fortet`` with ``U=None``):
-the normalized potential of a plain solve of the problem, from which the
-run takes the rescaled step; all ones with the clamp when the plain
-start fails.  A run from a plain start adds ``ceiling: "plain"`` and
-``plain_iterations`` (the plain run's; ``iterations`` and
-``fortet_iterations`` count the truncated run) to its report.  A
-``--U`` file runs the clamp from that ceiling, the paper's scheme; a
-file of ones gives the clamp from ``U = 1``.
+asks for the default solve (``fortet.solve_fortet`` with ``U=None``):
+the plain scheme run to ``--tol``, and the clamp from all ones when
+that run fails.  A ``solve`` report's ``scheme`` names the scheme whose
+result it holds, so a default run that converged in the plain scheme
+reads ``"untruncated"``.  A report of a clamp run after a failed plain
+run adds ``plain_iterations``, the plain run's count (``iterations`` and
+``fortet_iterations`` count the clamp run).  A ``--U`` file runs the
+clamp from that ceiling, the paper's scheme; a file of ones gives the
+clamp from ``U = 1``.
 
 Reports are JSON with sorted keys (byte-identical for identical inputs);
 infinities are serialized as the string "inf".  A solution report holds
@@ -233,13 +234,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     payload.update(
         {
+            "scheme": result.scheme,
             "status": result.status,
             "iterations": result.iterations,
             "residual": result.residual,
             "early_exit_index": result.early_exit_index,
-            **_ceiling_keys(result),
         }
     )
+    if result.plain_iterations is not None:
+        payload["plain_iterations"] = result.plain_iterations
     if args.trace:
         payload["trace"] = [asdict(rec) for rec in result.trace]
         if args.output:
@@ -254,15 +257,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if result.status == ft.STATUS_MAX_ITER:
         return EXIT_MAX_ITER
     return EXIT_DEGENERATE
-
-
-def _ceiling_keys(result: ft.FixedPointResult) -> dict:
-    """``ceiling: "plain"`` and ``plain_iterations`` for a run from a plain
-    start; nothing for a clamp run (a given ``U``, or a plain start that
-    failed), so its report has the keys the clamp has always written."""
-    if result.plain_iterations is None:
-        return {}
-    return {"ceiling": "plain", "plain_iterations": result.plain_iterations}
 
 
 def _fill_solution(payload: dict, sol: ft.SchrodingerSolution) -> None:
@@ -406,8 +400,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "command": "compare",
         "fortet_status": result.status,
         "fortet_iterations": result.iterations,
-        **_ceiling_keys(result),
     }
+    if result.plain_iterations is not None:
+        payload["plain_iterations"] = result.plain_iterations
     if failed:
         _write_report(payload, args.output)
         return EXIT_DEGENERATE
@@ -477,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     fortet = argparse.ArgumentParser(add_help=False)
     fortet.add_argument("--max-iter", type=int, default=100_000)
     fortet.add_argument("--U", default="ones",
-                        help="'ones' for the default ceiling (shaped by a plain solve, "
-                             "all ones if that fails) or a JSON file with the ceiling "
+                        help="'ones' for the plain scheme to --tol, then the clamp from "
+                             "all ones if that fails, or a JSON file with the ceiling "
                              "vector, which runs the clamp")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--points-per-dim", type=int)

@@ -14,16 +14,12 @@ truncated scheme
 which decreases monotonically, stays within [U/n, U], and keeps every
 iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
 (the identity clamp), the classical potential form of Sinkhorn /
-iterative proportional fitting.  The truncated scheme's default ceiling
-is shaped by a plain solve of the problem itself, and from it the run
-takes the rescaled step
-
-    u_{n+1} = max(U/(n+1), min(s_n phi(u_n), u_n)),   s_n = min(1, min_i u_i / phi_i(u_n)),
-
-which keeps the same bounds (see :func:`solve_fortet`).  Either scheme
-starts from a finite, strictly positive vector, checked once at entry;
-ends converged-positive, degenerate-zero, max-iter, or divergent (a step
-past the overflow guard); and rejects ``tol`` below ``MIN_TOL``.  Inside the loop a step runs as
+iterative proportional fitting.  :func:`solve_fortet` without a given
+ceiling runs the plain scheme, and the truncated one from ``U = 1`` only
+when that run fails.  Either scheme starts from a finite, strictly
+positive vector, checked once at entry; ends converged-positive,
+degenerate-zero, max-iter, or divergent (a step past the overflow
+guard); and rejects ``tol`` below ``MIN_TOL``.  Inside the loop a step runs as
 two bare BLAS matvecs when scalar bounds on the kernel and the iterate
 rule out every overflow guard and a vanishing ``psi``, and as the public
 ``psi`` and ``phi`` otherwise (see ``_dual_step``).  A log-domain Sinkhorn
@@ -61,10 +57,6 @@ STATUS_DIVERGENT = "divergent"
 #: decreasing, min phi falls below this multiple of min U (truncated scheme)
 #: or ``min_i phi_i(u_n) / phi_i(u_1)`` below it (plain scheme).
 DEGENERATE_CUTOFF = 1e-13
-
-#: ``tol`` of the plain solve that shapes a default ceiling; the ceiling
-#: needs the shape of the potential, not its last digits.
-PLAIN_START_TOL = 1e-6
 
 #: the smallest ``tol`` the solvers accept: 4 eps.  Below a few eps the
 #: stopping test can sit under the rounding noise of one step and never pass.
@@ -121,9 +113,12 @@ class FixedPointResult:
     residual: float
     trace: list[TraceRecord]
     status: str
+    #: the scheme that produced ``u_star``: "untruncated" (plain) or "truncated" (clamp)
+    scheme: str
     early_exit_index: int | None = None
     psi_star: np.ndarray | None = field(default=None, repr=False)
-    #: iterations of the plain solve that shaped the default ceiling; None without one
+    #: iterations of a failed plain run that came before the clamp; None when
+    #: there was none: a given ``U``, a converged plain run, or a plain run that raised
     plain_iterations: int | None = None
 
 
@@ -272,18 +267,6 @@ def _clamp_step(phi_u: np.ndarray, ceiling: np.ndarray, n_next: int) -> np.ndarr
     return np.maximum(ceiling / n_next, np.minimum(phi_u, ceiling))
 
 
-def _rescaled_step(phi_u: np.ndarray, u: np.ndarray, ceiling: np.ndarray,
-                   n_next: int) -> np.ndarray:
-    """``max(U/(n+1), min(s phi(u_n), u_n))`` with ``s = min(1, min_i u_i / phi_i(u_n))``.
-
-    ``s phi`` lies under ``u`` but for the last ulp of the product, which
-    the inner min with ``u`` absorbs; so the step decreases monotonically,
-    stays under ``U`` and above the floor ``U/n``, as the clamp does.
-    """
-    s = min(1.0, float(np.minimum.reduce(u / phi_u)))
-    return np.maximum(ceiling / n_next, np.minimum(s * phi_u, u))
-
-
 def iterate_truncated(state: SchemeState, problem: DiscreteProblem) -> SchemeState:
     """One step of the truncated scheme; records the early-exit index.
 
@@ -323,7 +306,7 @@ def _check_budget(tol: float, max_iter: int) -> None:
 
 
 @np.errstate(over="ignore")  # |phi - u|/u, up to 1/mu_i, may overflow: rel reads inf
-def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
+def _iterate(problem, u, tol, max_iter, trace, *, scheme, advance, target, scale,
              degenerate_below, per_index=False, ceiling=None,
              check_dichotomy=False) -> FixedPointResult:
     """The loop of both schemes, ``u_{n+1} = advance(phi(u_n))`` from ``u_1 = u``.
@@ -340,7 +323,7 @@ def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
     ``per_index`` ``min_i phi_i(u_n) / phi_i(u_1)``, each index against its
     own first value (0 when phi vanishes somewhere).  With
     ``check_dichotomy``, a phi that vanishes at some points but not all
-    raises.
+    raises.  ``scheme`` names the scheme in the result.
     """
     records: list[TraceRecord] = []
     early_exit: int | None = None
@@ -396,29 +379,8 @@ def _iterate(problem, u, tol, max_iter, trace, *, advance, target, scale,
         status = STATUS_DIVERGENT
 
     return FixedPointResult(u_star=u, iterations=n - 1, residual=residual, trace=records,
-                            status=status, early_exit_index=early_exit, psi_star=ps)
-
-
-def _plain_ceiling(problem: DiscreteProblem, max_iter: int) -> tuple[np.ndarray, int] | None:
-    """The default ceiling shaped by a plain solve, and that solve's iterations.
-
-    The plain scheme runs on the problem itself to ``PLAIN_START_TOL``
-    from all ones, and its potential ``u`` gives ``U = u / max(u)``.
-    None when the run raises :class:`NonFiniteIntermediate` or does not
-    converge within ``max_iter``, or ``U`` is not finite and strictly
-    positive.
-    """
-    try:
-        result = solve_untruncated(problem, tol=PLAIN_START_TOL, max_iter=max_iter)
-    except NonFiniteIntermediate:
-        return None
-    if result.status != STATUS_CONVERGED:
-        return None
-    with np.errstate(all="ignore"):  # a potential past the float range is refused below
-        U = result.u_star / np.max(result.u_star)
-    if not (np.isfinite(U).all() and (U > 0).all()):
-        return None
-    return U, result.iterations
+                            status=status, scheme=scheme, early_exit_index=early_exit,
+                            psi_star=ps)
 
 
 def solve_fortet(
@@ -428,67 +390,56 @@ def solve_fortet(
     max_iter: int = 100_000,
     trace: bool = False,
 ) -> FixedPointResult:
-    """Run the truncated scheme from u_1 = U until the iterate settles.
+    """Solve by the plain scheme, or by the truncated scheme from ``u_1 = U``.
 
-    ``U=None`` asks for the default ceiling: the normalized potential of
-    a plain solve of the problem itself (:func:`_plain_ceiling`; its
-    iterations are ``plain_iterations``), from which the run takes the
-    rescaled step (:func:`_rescaled_step`) instead of the clamp, since
-    from a shaped ceiling the clamp stalls: the floor ``U/n`` then holds
-    indices far longer than from ``U = 1``.  On a positive kernel the
-    plain scheme is Sinkhorn's iteration, which converges whenever a
-    scaling exists.  When the plain start fails, ``U`` is all ones with
-    the clamp; a start that fails has then spent up to ``max_iter`` plain
-    iterations before the clamp run.  A given ``U`` always runs the
-    clamp, which is the paper's scheme.
+    ``U=None`` asks for the default: the plain scheme
+    (:func:`solve_untruncated` from all ones, with the same ``tol``,
+    ``max_iter`` and ``trace``), whose result is returned when it
+    converges, that is when ``||u - phi(u)||_inf <= tol * ||u||_inf``
+    besides the relative-change test.  On a positive kernel that is Sinkhorn's iteration, which
+    converges whenever a scaling exists.  When it ends otherwise, the
+    truncated scheme runs from ``U = 1``, and ``plain_iterations`` counts
+    the plain run that failed; it stays None when the plain run raised
+    :class:`NonFiniteIntermediate`.  A failed plain run has spent up to
+    ``max_iter`` iterations before the truncated run.  A given
+    ``U`` always runs the truncated scheme, which is the paper's.
+    ``scheme`` names the scheme whose result is returned.
 
-    The rescaled step keeps the clamp's guarantees: each iterate lies in
-    ``[U/n, U]`` and under its predecessor.  Its limit, when positive, is
-    a fixed point of ``phi``: there the floor no longer binds, and
-    ``u = min(s phi(u), u)`` with ``s phi(u) <= u`` gives ``s phi(u) = u``;
-    the identity ``sum_i mu_i phi_i(u) / u_i = 1``
-    (:func:`normalization_check`) then reads ``1 / s = 1``, so ``s = 1``
-    and ``phi(u) = u``.  The fixed point is unique up to scale, so the
-    coupling is that of the clamp run; only the scale of ``u_star``
-    differs.
-
-    Stops when the sup relative change of u drops to ``tol`` *and* the
-    fixed-point residual is small: ``||u - min(phi(u), U)||_inf`` at most
-    ``tol * ||U||_inf`` under the clamp, ``||u - phi(u)||_inf`` at most
-    ``tol * ||u||_inf`` under the rescaled step; the returned status is
-    then converged-positive.  Collapse of phi toward zero (below
+    The truncated run stops when the sup relative change of u drops to
+    ``tol`` *and* the fixed-point residual ``||u - min(phi(u), U)||_inf``
+    is at most ``tol * ||U||_inf``; the returned status is then
+    converged-positive.  Collapse of phi toward zero (below
     ``DEGENERATE_CUTOFF * min U`` while still decreasing) reports
     degenerate-zero, a step past the overflow guard reports divergent,
     and an exhausted budget reports max-iter.  ``tol`` must be at least
     ``MIN_TOL``.
     """
     _check_budget(tol, max_iter)
-    shaped = _plain_ceiling(problem, max_iter) if U is None else None
     plain_iterations = None
-    if shaped is not None:
-        U, plain_iterations = shaped
-    else:
-        U = _check_positive_finite(np.ones(problem.n_x) if U is None else U, "ceiling U",
-                                   problem.n_x)
+    if U is None:
+        try:
+            plain = solve_untruncated(problem, tol=tol, max_iter=max_iter, trace=trace)
+        except NonFiniteIntermediate:
+            pass
+        else:
+            if plain.status == STATUS_CONVERGED:
+                return plain
+            plain_iterations = plain.iterations
+        U = np.ones(problem.n_x)
+    U = _check_positive_finite(U, "ceiling U", problem.n_x)
     sup_U = float(np.max(U))
 
     def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
-        if shaped is None:
-            u_next = _clamp_step(phi_u, U, n_next)
-        else:
-            u_next = _rescaled_step(phi_u, u, U, n_next)
+        u_next = _clamp_step(phi_u, U, n_next)
         if not (u_next <= u).all():
             raise MonotonicityViolated("monotone decrease of the truncated scheme violated")
         # every iterate lies in [U/n, U]: finite and strictly positive; and
         # u - u_next is |u_next - u| bit for bit, as it is nonnegative
         return u_next, float(np.maximum.reduce((u - u_next) / u))
 
-    if shaped is None:
-        target, scale = (lambda phi_u: np.minimum(phi_u, U)), (lambda u: sup_U)
-    else:
-        target, scale = (lambda phi_u: phi_u), (lambda u: float(np.max(u)))
-    result = _iterate(problem, U.copy(), tol, max_iter, trace, advance=advance,
-                      target=target, scale=scale,
+    result = _iterate(problem, U.copy(), tol, max_iter, trace, scheme="truncated",
+                      advance=advance, target=lambda phi_u: np.minimum(phi_u, U),
+                      scale=lambda u: sup_U,
                       degenerate_below=DEGENERATE_CUTOFF * float(np.min(U)), ceiling=U,
                       check_dichotomy=bool((kernel_matrix(problem) > 0).all()))
     result.plain_iterations = plain_iterations
@@ -520,7 +471,7 @@ def solve_untruncated(
     def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
         return phi_u, float(np.maximum.reduce(np.abs(phi_u - u) / u))
 
-    return _iterate(problem, u, tol, max_iter, trace, advance=advance,
+    return _iterate(problem, u, tol, max_iter, trace, scheme="untruncated", advance=advance,
                     target=lambda phi_u: phi_u, scale=lambda u: float(np.max(u)),
                     degenerate_below=DEGENERATE_CUTOFF, per_index=True)
 

@@ -231,7 +231,7 @@ def test_compare_degenerate_exit_two(tmp_path):
 
 
 def test_compare_solves_the_row_scaled_far_below_the_cutoff_by_default(tmp_path):
-    # the clamp from U = 1 collapses on this problem; the plain start solves it
+    # the clamp from U = 1 collapses on this problem; the plain scheme solves it
     problem = build_dense_problem(
         [[1.0, 1.0], [1e-18, 1e-18]], [0.5, 0.5], [0.5, 0.5]
     )
@@ -351,17 +351,6 @@ def test_solve_monotonicity_violation_exit_two(tmp_path, two_by_two_file, capsys
     monkeypatch.setattr(fortet, "_clamp_step", lambda phi_u, ceiling, n_next: 2.0 * ceiling)
     code = main(["solve", "--input", two_by_two_file, "--output", str(tmp_path / "s.json"),
                  "--U", ones_file(tmp_path, 2)])
-    assert code == 2
-    assert "monotone" in _one_error_line(capsys)
-
-
-def test_default_run_monotonicity_violation_exit_two(tmp_path, two_by_two_file, capsys,
-                                                     monkeypatch):
-    from schrobridge import fortet
-
-    monkeypatch.setattr(fortet, "_rescaled_step",
-                        lambda phi_u, u, ceiling, n_next: 2.0 * ceiling)
-    code = main(["solve", "--input", two_by_two_file, "--output", str(tmp_path / "s.json")])
     assert code == 2
     assert "monotone" in _one_error_line(capsys)
 
@@ -899,7 +888,7 @@ def test_check_triple_with_a_precision_near_the_float_range(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The default ceiling: a plain solve of the problem itself
+# The default solve: the plain scheme, and the clamp when it fails
 # ---------------------------------------------------------------------------
 
 # the reports of the worked 2x2 as the clamp from U = 1 (``--U`` with a
@@ -951,17 +940,16 @@ def test_dense_reports_keep_their_bytes(tmp_path, two_by_two_file, command, expe
     assert out.read_text() == expected
 
 
-@pytest.mark.parametrize("command, plain, truncated", [("solve", 4, 2), ("compare", 4, 4)])
-def test_default_reports_of_the_two_by_two(tmp_path, two_by_two_file, command, plain,
-                                           truncated):
+@pytest.mark.parametrize("command, iterations", [("solve", 6), ("compare", 8)])
+def test_default_reports_of_the_two_by_two(tmp_path, two_by_two_file, command, iterations):
     # the clamp from U = 1 takes 33 (solve) and 47 (compare) iterations
     out = tmp_path / "r.json"
     assert main([command, "--input", two_by_two_file, "--output", str(out)]) == 0
     report = read(out)
-    iterations = report["iterations" if command == "solve" else "fortet_iterations"]
-    assert (report["ceiling"], report["plain_iterations"], iterations) == (
-        "plain", plain, truncated)
+    assert "plain_iterations" not in report
+    assert report["iterations" if command == "solve" else "fortet_iterations"] == iterations
     if command == "solve":
+        assert report["scheme"] == "untruncated"
         pinned = json.loads(_TWO_BY_TWO_SOLVE)
         for key in ("a", "b"):
             np.testing.assert_allclose(report[key], pinned[key], rtol=0, atol=1e-10)
@@ -980,13 +968,12 @@ def test_coarse_start_on_the_801_point_gaussian(tmp_path):
     out = tmp_path / "r.json"
     assert main(["solve", "--input", path, "--output", str(out)]) == 0
     report = read(out)
-    assert report["ceiling"] == "plain" and report["plain_iterations"] > 0
-    assert report["iterations"] + report["plain_iterations"] <= 29
+    assert report["scheme"] == "untruncated" and "plain_iterations" not in report
+    assert report["iterations"] <= 29
     assert max(report["marginal_err_x"], report["marginal_err_y"]) <= 1e-10
     assert main(["compare", "--input", path, "--output", str(out)]) == 0
     report = read(out)
-    assert report["ceiling"] == "plain"
-    assert report["fortet_iterations"] + report["plain_iterations"] <= 39
+    assert "plain_iterations" not in report and report["fortet_iterations"] <= 39
     assert report["potential_gap"] <= 1e-8
 
 
@@ -1003,12 +990,12 @@ def test_two_dimensional_gaussians_solve_from_the_default_ceiling(tmp_path, name
     assert main(["solve", "--input", path, "--output", str(out), "--tol", tol,
                  "--max-iter", "30000"]) == 0
     report = read(out)
-    assert report["ceiling"] == "plain" and report["iterations"] <= 100
+    assert report["scheme"] == "untruncated" and report["iterations"] <= 100
 
 
 def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
-    # a plain start out of budget: both runs are the clamp's from U = 1,
-    # byte for byte, with no warning
+    # a plain run out of budget (it needs 14): the default report is the
+    # clamp's from U = 1 and names the 5 plain iterations spent first
     import warnings
 
     g801 = _gaussian_problem_file(tmp_path, "g801", 1.0, 1.0, 1.0, 801)
@@ -1023,10 +1010,12 @@ def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
         assert got == main([command, "--input", g801, "--output", str(given), "--max-iter", "5",
                             "--U", str(ones)])
         assert got == code
-        assert default.read_bytes() == given.read_bytes()
+        report = read(default)
+        assert report == {**read(given), "plain_iterations": 5}
+        assert report["iterations" if command == "solve" else "fortet_iterations"] == 5
     assert capsys.readouterr().err == ""
     # y is x rolled by 4 points, so the c = 100 kernel vanishes far off that
-    # band; the plain start solves it in 1 iteration, and so does the run
+    # band; the plain scheme solves it in 1 iteration
     n = 104
     x = np.arange(n, dtype=float)[:, None]
     rolled = tmp_path / "rolled.json"
@@ -1038,7 +1027,8 @@ def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
     out = tmp_path / "rolled-out.json"
     assert main(["solve", "--input", str(rolled), "--output", str(out)]) == 0
     report = read(out)
-    assert (report["ceiling"], report["plain_iterations"], report["iterations"]) == ("plain", 1, 1)
+    assert (report["scheme"], report["iterations"]) == ("untruncated", 1)
+    assert "plain_iterations" not in report
 
 
 @pytest.mark.parametrize("scale", ["1e200", "1e-200"])

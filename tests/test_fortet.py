@@ -249,7 +249,7 @@ def test_solve_fortet_early_exit_implies_unclamped_fixed_point():
     problem = validate_reduction(
         build_dense_problem(np.ones((4, 4)), [0.25] * 4, [0.25] * 4)
     )
-    result = solve_fortet(problem, tol=1e-12)
+    result = solve_fortet(problem, U=np.ones(problem.n_x), tol=1e-12)
     assert result.early_exit_index == 1
     assert (result.u_star > 0).all()
     ph = phi(problem, result.u_star)
@@ -261,7 +261,7 @@ def test_truncated_limit_touches_ceiling(two_by_two):
     # generic positive problems converge to the largest fixed-ray element
     # under the ceiling, so the ceiling is attained and phi approaches it
     # from above: the early-exit marker legitimately stays unset
-    result = solve_fortet(two_by_two, tol=1e-12)
+    result = solve_fortet(two_by_two, U=np.ones(two_by_two.n_x), tol=1e-12)
     assert result.u_star.max() == pytest.approx(1.0, abs=1e-12)
     assert result.early_exit_index is None
 
@@ -339,13 +339,13 @@ def test_solve_fortet_degenerate_cutoff_rule():
 
 def test_default_solves_the_row_scaled_far_below_the_cutoff():
     # the same problem has a scaling, a_0 / a_1 = 1e-18, which the plain
-    # start finds where the clamp from U = 1 reports degenerate-zero
+    # scheme finds where the clamp from U = 1 reports degenerate-zero
     problem = validate_reduction(
         build_dense_problem([[1.0, 1.0], [1e-18, 1e-18]], [0.5, 0.5], [0.5, 0.5])
     )
     result = solve_fortet(problem)
-    assert (result.status, result.plain_iterations, result.iterations) == (
-        STATUS_CONVERGED, 2, 1)
+    assert (result.status, result.scheme, result.iterations, result.plain_iterations) == (
+        STATUS_CONVERGED, "untruncated", 2, None)
     sol = extract_solution(problem, result.u_star, psi_star=result.psi_star)
     assert sol.a[0] / sol.a[1] == pytest.approx(1e-18, rel=1e-12)
     assert max(sol.marginal_err_x, sol.marginal_err_y) <= 1e-16
@@ -804,14 +804,6 @@ def test_solve_fortet_raises_on_monotonicity_violation(two_by_two, monkeypatch):
     assert isinstance(info.value, RuntimeError)
 
 
-def test_default_run_raises_on_monotonicity_violation(two_by_two, monkeypatch):
-    monkeypatch.setattr(fortet, "_rescaled_step",
-                        lambda phi_u, u, ceiling, n_next: 2.0 * ceiling)
-    with pytest.raises(MonotonicityViolated) as info:
-        solve_fortet(two_by_two)
-    assert isinstance(info.value, RuntimeError)
-
-
 # ---------------------------------------------------------------------------
 # the dual step's scalar guard bounds against the vector checks
 # ---------------------------------------------------------------------------
@@ -941,7 +933,7 @@ def test_solvers_take_the_scalar_guards(gaussian_801, hard_gaussian_2d, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# The default ceiling: a plain solve of the problem itself
+# The default solve: the plain scheme, and the clamp when it fails
 # ---------------------------------------------------------------------------
 
 
@@ -950,62 +942,30 @@ def _unit_gaussian(c, points):
     return validate_reduction(discretize_gaussian(gp, points_per_dim=points))
 
 
-def _assert_rescaled_steps_stay_in_bounds(problem, U, steps):
-    """Chain ``steps`` rescaled steps from ``u_1 = U``, checking each one elementwise;
-    returns the last iterate."""
-    u = U.copy()
-    for n in range(1, steps + 1):
-        u_next = fortet._rescaled_step(phi(problem, u), u, U, n + 1)
-        assert (u_next <= u).all()
-        assert (u_next <= U).all()
-        assert (u_next >= U / (n + 1)).all()
-        u = u_next
-    return u
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), nx=st.integers(1, 8), ny=st.integers(1, 8),
-       spread=st.floats(0.0, 30.0))
-def test_rescaled_step_is_monotone_and_bounded(seed, nx, ny, spread):
-    rng = np.random.default_rng(seed)
-    problem = random_positive_problem(rng, nx, ny)
-    U = np.exp(rng.uniform(-spread, spread, nx))
-    _assert_rescaled_steps_stay_in_bounds(problem, U, 40)
-
-
-@pytest.mark.parametrize("c, k", [(1.0, 10), (10.0, 100)])
-def test_rescaled_step_from_the_coarse_ceiling_is_the_solver_loop(c, k):
-    # the loop of solve_fortet, step for step, against the chained steps;
-    # the plain start shares the budget k (it takes 9 and 72 iterations),
-    # and the fine run needs more (13 and 109 at MIN_TOL)
-    problem = _unit_gaussian(c, 201)
-    U, _ = fortet._plain_ceiling(problem, k)
-    u = _assert_rescaled_steps_stay_in_bounds(problem, U, k)
-    result = solve_fortet(problem, tol=MIN_TOL, max_iter=k)
-    assert result.status == "max-iter" and result.plain_iterations is not None
-    assert np.array_equal(result.u_star, u)
-
-
 @pytest.mark.parametrize("c, most", [(1.0, 25), (10.0, 200), (50.0, 900)])
 def test_coarse_start_reaches_the_coupling_of_the_clamp_run(c, most):
     # the clamp from U = 1 takes 971, 7397 and 9753 iterations here
     problem = _unit_gaussian(c, 201)
-    plain = solve_fortet(problem, tol=1e-10)
+    default = solve_fortet(problem, tol=1e-10)
     clamp = solve_fortet(problem, U=np.ones(problem.n_x), tol=1e-10)
-    assert plain.status == clamp.status == STATUS_CONVERGED
-    assert plain.plain_iterations > 0 and clamp.plain_iterations is None
-    assert plain.iterations + plain.plain_iterations <= most < clamp.iterations
-    gap = np.max(np.abs(extract_solution(problem, plain.u_star).pi
+    assert default.status == clamp.status == STATUS_CONVERGED
+    assert (default.scheme, clamp.scheme) == ("untruncated", "truncated")
+    assert default.plain_iterations is None and clamp.plain_iterations is None
+    assert default.iterations <= most < clamp.iterations
+    gap = np.max(np.abs(extract_solution(problem, default.u_star).pi
                         - extract_solution(problem, clamp.u_star).pi))
     assert gap <= 1e-8
 
 
 def _assert_default_is_the_plain_start(problem):
-    """The default run starts from a plain solve, converges, and reaches the
-    coupling of the clamp run from U = 1."""
+    """The default run is the plain scheme's, bit for bit, converges, and
+    reaches the coupling of the clamp run from U = 1."""
     default = solve_fortet(problem, tol=1e-10)
+    plain = solve_untruncated(problem, tol=1e-10)
     clamp = solve_fortet(problem, U=np.ones(problem.n_x), tol=1e-10)
-    assert default.plain_iterations is not None
+    assert (default.scheme, default.plain_iterations) == ("untruncated", None)
+    assert (default.status, default.iterations) == (plain.status, plain.iterations)
+    assert np.array_equal(default.u_star, plain.u_star)
     assert default.status == clamp.status == STATUS_CONVERGED
     gap = np.max(np.abs(extract_solution(problem, default.u_star, default.psi_star).pi
                         - extract_solution(problem, clamp.u_star, clamp.psi_star).pi))
@@ -1053,40 +1013,37 @@ def _rolled_problem():
 
 
 def _failed_plain_starts(monkeypatch):
-    """(name, problem, max_iter) whose plain start fails, each in its own way."""
+    """(name, problem, max_iter, plain_iterations) whose plain run fails, each
+    in its own way; ``plain_iterations`` is what the clamp run reports."""
     gauss = _unit_gaussian(1.0, 801)
-    # the plain start needs 9 iterations
-    yield "max-iter", gauss, 5
-    real = fortet.solve_untruncated
+    # the plain run needs 14 iterations
+    yield "max-iter", gauss, 5, 5
+    # no scaling exists: the plain run collapses, the floored clamp runs out of budget
+    infeasible = validate_reduction(
+        build_dense_problem([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.9, 0.1]))
+    plain = solve_untruncated(infeasible, max_iter=500)
+    assert plain.status == STATUS_DEGENERATE
+    yield "degenerate-zero", infeasible, 500, plain.iterations
 
     def vanishing(problem, **kwargs):
         raise NonFiniteIntermediate("dual vanished")
 
     monkeypatch.setattr(fortet, "solve_untruncated", vanishing)
-    yield "non-finite-intermediate", gauss, 100_000
-
-    # a potential of infinities gives U = inf / inf
-    def infinite(problem, **kwargs):
-        result = real(problem, **kwargs)
-        result.u_star = np.full(problem.n_x, INF)
-        return result
-
-    monkeypatch.setattr(fortet, "solve_untruncated", infinite)
-    yield "non-finite", gauss, 100_000
+    yield "non-finite-intermediate", gauss, 100_000, None
 
 
 def test_failed_coarse_level_falls_back_to_the_clamp(monkeypatch):
     import warnings
 
-    for name, problem, max_iter in _failed_plain_starts(monkeypatch):
+    for name, problem, max_iter, plain_iterations in _failed_plain_starts(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             default = solve_fortet(problem, max_iter=max_iter)
         ones = solve_fortet(problem, U=np.ones(problem.n_x), max_iter=max_iter)
-        assert default.plain_iterations is None, name
+        assert (default.scheme, default.plain_iterations) == ("truncated", plain_iterations), name
         assert (default.status, default.iterations) == (ones.status, ones.iterations), name
         assert np.array_equal(default.u_star, ones.u_star), name
     monkeypatch.undo()
     rolled = solve_fortet(_rolled_problem())
-    assert (rolled.status, rolled.iterations, rolled.plain_iterations) == (
-        STATUS_CONVERGED, 1, 1)
+    assert (rolled.scheme, rolled.status, rolled.iterations, rolled.plain_iterations) == (
+        "untruncated", STATUS_CONVERGED, 1, None)
