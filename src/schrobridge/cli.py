@@ -46,14 +46,12 @@ that none was found, which is not a proof that a solution exists.
 
 ``--U ones``, the default of ``solve --scheme truncated`` and ``compare``,
 asks for the default solve (``fortet.solve_fortet`` with ``U=None``):
-the plain scheme run to ``--tol``, and the clamp from all ones when
-that run fails.  A ``solve`` report's ``scheme`` names the scheme whose
-result it holds, so a default run that converged in the plain scheme
-reads ``"untruncated"``.  A report of a clamp run after a failed plain
-run adds ``plain_iterations``, the plain run's count (``iterations`` and
-``fortet_iterations`` count the clamp run).  A ``--U`` file runs the
-clamp from that ceiling, the paper's scheme; a file of ones gives the
-clamp from ``U = 1``.
+the plain scheme run to ``--tol``, converged or not, so its report is
+that of ``solve --scheme untruncated`` byte for byte.  A ``solve``
+report's ``scheme`` names the scheme whose result it holds, so a default
+report reads ``"untruncated"``.  A ``--U`` file runs the clamp from that
+ceiling, the paper's scheme; a file of ones gives the clamp from
+``U = 1``.
 
 Reports are JSON with sorted keys (byte-identical for identical inputs);
 infinities are serialized as the string "inf".  A solution report holds
@@ -219,18 +217,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     _refuse_without_scaling(problem)
-    if args.scheme == "truncated":
-        result = ft.solve_fortet(
-            problem,
-            U=None if args.U == "ones" else _load_ceiling(args.U, problem),
-            tol=args.tol,
-            max_iter=args.max_iter,
-            trace=args.trace,
-        )
-    else:
-        result = ft.solve_untruncated(
-            problem, tol=args.tol, max_iter=args.max_iter, trace=args.trace
-        )
+    # the plain scheme takes no --U file (refused above): its U=None is the plain run
+    result = ft.solve_fortet(
+        problem,
+        U=None if args.U == "ones" else _load_ceiling(args.U, problem),
+        tol=args.tol,
+        max_iter=args.max_iter,
+        trace=args.trace,
+    )
 
     payload.update(
         {
@@ -241,8 +235,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "early_exit_index": result.early_exit_index,
         }
     )
-    if result.plain_iterations is not None:
-        payload["plain_iterations"] = result.plain_iterations
     if args.trace:
         payload["trace"] = [asdict(rec) for rec in result.trace]
         if args.output:
@@ -401,8 +393,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "fortet_status": result.status,
         "fortet_iterations": result.iterations,
     }
-    if result.plain_iterations is not None:
-        payload["plain_iterations"] = result.plain_iterations
     if failed:
         _write_report(payload, args.output)
         return EXIT_DEGENERATE
@@ -472,9 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     fortet = argparse.ArgumentParser(add_help=False)
     fortet.add_argument("--max-iter", type=int, default=100_000)
     fortet.add_argument("--U", default="ones",
-                        help="'ones' for the plain scheme to --tol, then the clamp from "
-                             "all ones if that fails, or a JSON file with the ceiling "
-                             "vector, which runs the clamp")
+                        help="'ones' for the plain scheme to --tol, or a JSON file "
+                             "with the ceiling vector, which runs the clamp")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--points-per-dim", type=int)
     grid.add_argument("--half-width-sigmas", type=float, default=6.0)

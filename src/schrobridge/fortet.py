@@ -15,16 +15,16 @@ which decreases monotonically, stays within [U/n, U], and keeps every
 iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
 (the identity clamp), the classical potential form of Sinkhorn /
 iterative proportional fitting.  :func:`solve_fortet` without a given
-ceiling runs the plain scheme, and the truncated one from ``U = 1`` only
-when that run fails.  Either scheme starts from a finite, strictly
-positive vector, checked once at entry; ends converged-positive,
-degenerate-zero, max-iter, or divergent (a step past the overflow
-guard); and rejects ``tol`` below ``MIN_TOL``.  Inside the loop a step runs as
-two bare BLAS matvecs when scalar bounds on the kernel and the iterate
-rule out every overflow guard and a vanishing ``psi``, and as the public
-``psi`` and ``phi`` otherwise (see ``_dual_step``).  A log-domain Sinkhorn
-solver is included as an independent baseline, plus the kernel twisting
-transform ``p -> alpha(x) beta(y) p`` under which the coupling is invariant.
+ceiling runs the plain scheme alone.  Either scheme starts from a
+finite, strictly positive vector, checked once at entry; ends
+converged-positive, degenerate-zero, max-iter, or divergent (a step past
+the overflow guard); and rejects ``tol`` below ``MIN_TOL``.  Inside the
+loop a step runs as two bare BLAS matvecs when scalar bounds on the
+kernel and the iterate rule out every overflow guard and a vanishing
+``psi``, and as the public ``psi`` and ``phi`` otherwise (see
+``_dual_step``).  A log-domain Sinkhorn solver is included as an
+independent baseline, plus the kernel twisting transform
+``p -> alpha(x) beta(y) p`` under which the coupling is invariant.
 
 All maps are pure with respect to the problem; sums inside a map may be
 evaluated in parallel over the output index, while the solver loops are
@@ -117,9 +117,6 @@ class FixedPointResult:
     scheme: str
     early_exit_index: int | None = None
     psi_star: np.ndarray | None = field(default=None, repr=False)
-    #: iterations of a failed plain run that came before the clamp; None when
-    #: there was none: a given ``U``, a converged plain run, or a plain run that raised
-    plain_iterations: int | None = None
 
 
 @dataclass
@@ -392,18 +389,15 @@ def solve_fortet(
 ) -> FixedPointResult:
     """Solve by the plain scheme, or by the truncated scheme from ``u_1 = U``.
 
-    ``U=None`` asks for the default: the plain scheme
-    (:func:`solve_untruncated` from all ones, with the same ``tol``,
-    ``max_iter`` and ``trace``), whose result is returned when it
-    converges, that is when ``||u - phi(u)||_inf <= tol * ||u||_inf``
-    besides the relative-change test.  On a positive kernel that is Sinkhorn's iteration, which
-    converges whenever a scaling exists.  When it ends otherwise, the
-    truncated scheme runs from ``U = 1``, and ``plain_iterations`` counts
-    the plain run that failed; it stays None when the plain run raised
-    :class:`NonFiniteIntermediate`.  A failed plain run has spent up to
-    ``max_iter`` iterations before the truncated run.  A given
-    ``U`` always runs the truncated scheme, which is the paper's.
-    ``scheme`` names the scheme whose result is returned.
+    ``U=None`` asks for the default: the plain scheme,
+    :func:`solve_untruncated` from all ones with the same ``tol``,
+    ``max_iter`` and ``trace``, whose result is returned as it ends,
+    converged or not.  On a positive kernel that is Sinkhorn's iteration,
+    which converges whenever a scaling exists (Sinkhorn & Knopp 1967), and
+    on a kernel with zeros it is IPF, which converges exactly when one
+    exists (Pukelsheim 2014).  A given ``U`` runs the truncated scheme,
+    which is the paper's.  ``scheme`` names the scheme whose result is
+    returned.
 
     The truncated run stops when the sup relative change of u drops to
     ``tol`` *and* the fixed-point residual ``||u - min(phi(u), U)||_inf``
@@ -414,18 +408,9 @@ def solve_fortet(
     and an exhausted budget reports max-iter.  ``tol`` must be at least
     ``MIN_TOL``.
     """
-    _check_budget(tol, max_iter)
-    plain_iterations = None
     if U is None:
-        try:
-            plain = solve_untruncated(problem, tol=tol, max_iter=max_iter, trace=trace)
-        except NonFiniteIntermediate:
-            pass
-        else:
-            if plain.status == STATUS_CONVERGED:
-                return plain
-            plain_iterations = plain.iterations
-        U = np.ones(problem.n_x)
+        return solve_untruncated(problem, tol=tol, max_iter=max_iter, trace=trace)
+    _check_budget(tol, max_iter)
     U = _check_positive_finite(U, "ceiling U", problem.n_x)
     sup_U = float(np.max(U))
 
@@ -437,13 +422,11 @@ def solve_fortet(
         # u - u_next is |u_next - u| bit for bit, as it is nonnegative
         return u_next, float(np.maximum.reduce((u - u_next) / u))
 
-    result = _iterate(problem, U.copy(), tol, max_iter, trace, scheme="truncated",
-                      advance=advance, target=lambda phi_u: np.minimum(phi_u, U),
-                      scale=lambda u: sup_U,
-                      degenerate_below=DEGENERATE_CUTOFF * float(np.min(U)), ceiling=U,
-                      check_dichotomy=bool((kernel_matrix(problem) > 0).all()))
-    result.plain_iterations = plain_iterations
-    return result
+    return _iterate(problem, U.copy(), tol, max_iter, trace, scheme="truncated",
+                    advance=advance, target=lambda phi_u: np.minimum(phi_u, U),
+                    scale=lambda u: sup_U,
+                    degenerate_below=DEGENERATE_CUTOFF * float(np.min(U)), ceiling=U,
+                    check_dichotomy=bool((kernel_matrix(problem) > 0).all()))
 
 
 def solve_untruncated(

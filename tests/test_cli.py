@@ -340,9 +340,24 @@ def test_solve_dichotomy_violation_exit_two(tmp_path, capsys):
     problem = build_dense_problem([[5e-324, 5e-324], [1e10, 1e10]], [0.5, 0.5], [0.5, 0.5])
     path = tmp_path / "p.json"
     save_problem(problem, str(path))
-    code = main(["solve", "--input", str(path), "--output", str(tmp_path / "s.json")])
+    code = main(["solve", "--input", str(path), "--output", str(tmp_path / "s.json"),
+                 "--U", ones_file(tmp_path, 2)])
     assert code == 2
     assert "dichotomy" in _one_error_line(capsys)
+
+
+def test_default_solve_of_the_dichotomy_input_reports_degenerate_zero(tmp_path, capsys):
+    # phi underflows to 0 on the first row: the plain scheme's per-index
+    # rule stops before its first step, with a report and no error line
+    problem = build_dense_problem([[5e-324, 5e-324], [1e10, 1e10]], [0.5, 0.5], [0.5, 0.5])
+    path = tmp_path / "p.json"
+    save_problem(problem, str(path))
+    out = tmp_path / "s.json"
+    assert main(["solve", "--input", str(path), "--output", str(out)]) == 2
+    report = read(out)
+    assert (report["scheme"], report["status"], report["iterations"]) == (
+        "untruncated", "degenerate-zero", 0)
+    assert capsys.readouterr().err == ""
 
 
 def test_solve_monotonicity_violation_exit_two(tmp_path, two_by_two_file, capsys, monkeypatch):
@@ -535,6 +550,16 @@ def test_import_leaves_scipy_special_unloaded(tmp_path, two_by_two_file):
             ["solve", "--scheme", "sinkhorn", "--input", two_by_two_file,
              "--output", str(tmp_path / "s.json")]]
     assert _loaded_by_cli(["scipy.special"], runs) == [[], [0, 0]]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special alone takes longer to import than the whole CLI
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import sys, schrobridge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout == "[]\n"
 
 
 def test_import_leaves_scipy_optimize_and_fractions_unloaded():
@@ -946,7 +971,6 @@ def test_default_reports_of_the_two_by_two(tmp_path, two_by_two_file, command, i
     out = tmp_path / "r.json"
     assert main([command, "--input", two_by_two_file, "--output", str(out)]) == 0
     report = read(out)
-    assert "plain_iterations" not in report
     assert report["iterations" if command == "solve" else "fortet_iterations"] == iterations
     if command == "solve":
         assert report["scheme"] == "untruncated"
@@ -962,18 +986,18 @@ def _gaussian_problem_file(tmp_path, name, a, b, c, points):
     return str(path)
 
 
-def test_coarse_start_on_the_801_point_gaussian(tmp_path):
+def test_default_solve_of_the_801_point_gaussian(tmp_path):
     # the clamp from U = 1 takes 1589 (solve) and 3134 (compare) iterations
     path = _gaussian_problem_file(tmp_path, "g801", 1.0, 1.0, 1.0, 801)
     out = tmp_path / "r.json"
     assert main(["solve", "--input", path, "--output", str(out)]) == 0
     report = read(out)
-    assert report["scheme"] == "untruncated" and "plain_iterations" not in report
+    assert report["scheme"] == "untruncated"
     assert report["iterations"] <= 29
     assert max(report["marginal_err_x"], report["marginal_err_y"]) <= 1e-10
     assert main(["compare", "--input", path, "--output", str(out)]) == 0
     report = read(out)
-    assert "plain_iterations" not in report and report["fortet_iterations"] <= 39
+    assert report["fortet_iterations"] <= 39
     assert report["potential_gap"] <= 1e-8
 
 
@@ -994,25 +1018,26 @@ def test_two_dimensional_gaussians_solve_from_the_default_ceiling(tmp_path, name
 
 
 def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
-    # a plain run out of budget (it needs 14): the default report is the
-    # clamp's from U = 1 and names the 5 plain iterations spent first
+    # a plain run out of budget (it needs 14): no clamp run follows, so the
+    # default report is the plain scheme's, byte for byte, with its exit
     import warnings
 
     g801 = _gaussian_problem_file(tmp_path, "g801", 1.0, 1.0, 1.0, 801)
-    ones = tmp_path / "ones.json"
-    ones.write_text(json.dumps([1.0] * 801))
     # compare exits 2: a Fortet run out of budget fails the comparison
     for command, code in (("solve", 3), ("compare", 2)):
-        default, given = tmp_path / "default.json", tmp_path / "given.json"
+        default = tmp_path / "default.json"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = main([command, "--input", g801, "--output", str(default), "--max-iter", "5"])
-        assert got == main([command, "--input", g801, "--output", str(given), "--max-iter", "5",
-                            "--U", str(ones)])
         assert got == code
         report = read(default)
-        assert report == {**read(given), "plain_iterations": 5}
         assert report["iterations" if command == "solve" else "fortet_iterations"] == 5
+        if command == "solve":
+            plain = tmp_path / "plain.json"
+            assert main([command, "--input", g801, "--output", str(plain), "--max-iter", "5",
+                         "--scheme", "untruncated"]) == code
+            assert default.read_bytes() == plain.read_bytes()
+            assert report["scheme"] == "untruncated"
     assert capsys.readouterr().err == ""
     # y is x rolled by 4 points, so the c = 100 kernel vanishes far off that
     # band; the plain scheme solves it in 1 iteration
@@ -1028,7 +1053,6 @@ def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
     assert main(["solve", "--input", str(rolled), "--output", str(out)]) == 0
     report = read(out)
     assert (report["scheme"], report["iterations"]) == ("untruncated", 1)
-    assert "plain_iterations" not in report
 
 
 @pytest.mark.parametrize("scale", ["1e200", "1e-200"])

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from schrobridge import (
     STATUS_CONVERGED,
     STATUS_DEGENERATE,
     STATUS_DIVERGENT,
+    STATUS_MAX_ITER,
     discretize_gaussian,
     extract_solution,
     iterate_truncated,
@@ -344,8 +346,8 @@ def test_default_solves_the_row_scaled_far_below_the_cutoff():
         build_dense_problem([[1.0, 1.0], [1e-18, 1e-18]], [0.5, 0.5], [0.5, 0.5])
     )
     result = solve_fortet(problem)
-    assert (result.status, result.scheme, result.iterations, result.plain_iterations) == (
-        STATUS_CONVERGED, "untruncated", 2, None)
+    assert (result.status, result.scheme, result.iterations) == (
+        STATUS_CONVERGED, "untruncated", 2)
     sol = extract_solution(problem, result.u_star, psi_star=result.psi_star)
     assert sol.a[0] / sol.a[1] == pytest.approx(1e-18, rel=1e-12)
     assert max(sol.marginal_err_x, sol.marginal_err_y) <= 1e-16
@@ -358,7 +360,7 @@ def test_solve_fortet_infeasible_support_exhausts_budget():
     problem = validate_reduction(
         build_dense_problem([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.9, 0.1])
     )
-    result = solve_fortet(problem, max_iter=500)
+    result = solve_fortet(problem, U=np.ones(2), max_iter=500)
     assert result.status == "max-iter"
 
 
@@ -794,7 +796,7 @@ def test_solve_fortet_raises_on_dichotomy_violation():
         build_dense_problem([[5e-324, 5e-324], [1e10, 1e10]], [0.5, 0.5], [0.5, 0.5])
     )
     with pytest.raises(NonFiniteIntermediate, match="dichotomy"):
-        solve_fortet(problem)
+        solve_fortet(problem, U=np.ones(2))
 
 
 def test_solve_fortet_raises_on_monotonicity_violation(two_by_two, monkeypatch):
@@ -933,7 +935,7 @@ def test_solvers_take_the_scalar_guards(gaussian_801, hard_gaussian_2d, monkeypa
 
 
 # ---------------------------------------------------------------------------
-# The default solve: the plain scheme, and the clamp when it fails
+# The default solve: the plain scheme alone
 # ---------------------------------------------------------------------------
 
 
@@ -943,29 +945,37 @@ def _unit_gaussian(c, points):
 
 
 @pytest.mark.parametrize("c, most", [(1.0, 25), (10.0, 200), (50.0, 900)])
-def test_coarse_start_reaches_the_coupling_of_the_clamp_run(c, most):
+def test_default_solve_reaches_the_coupling_of_the_clamp_run(c, most):
     # the clamp from U = 1 takes 971, 7397 and 9753 iterations here
     problem = _unit_gaussian(c, 201)
     default = solve_fortet(problem, tol=1e-10)
     clamp = solve_fortet(problem, U=np.ones(problem.n_x), tol=1e-10)
     assert default.status == clamp.status == STATUS_CONVERGED
     assert (default.scheme, clamp.scheme) == ("untruncated", "truncated")
-    assert default.plain_iterations is None and clamp.plain_iterations is None
     assert default.iterations <= most < clamp.iterations
     gap = np.max(np.abs(extract_solution(problem, default.u_star).pi
                         - extract_solution(problem, clamp.u_star).pi))
     assert gap <= 1e-8
 
 
+def _assert_default_is_the_plain_run(problem, **options):
+    """The default run is the plain scheme's bit for bit, trace included,
+    however it ends; returns it."""
+    default = solve_fortet(problem, trace=True, **options)
+    plain = solve_untruncated(problem, trace=True, **options)
+    assert default.scheme == "untruncated"
+    assert (default.status, default.iterations) == (plain.status, plain.iterations)
+    assert np.array_equal(default.u_star, plain.u_star)
+    assert [astuple(r) for r in default.trace] == [astuple(r) for r in plain.trace]
+    assert len(default.trace) == default.iterations
+    return default
+
+
 def _assert_default_is_the_plain_start(problem):
     """The default run is the plain scheme's, bit for bit, converges, and
     reaches the coupling of the clamp run from U = 1."""
-    default = solve_fortet(problem, tol=1e-10)
-    plain = solve_untruncated(problem, tol=1e-10)
+    default = _assert_default_is_the_plain_run(problem, tol=1e-10)
     clamp = solve_fortet(problem, U=np.ones(problem.n_x), tol=1e-10)
-    assert (default.scheme, default.plain_iterations) == ("untruncated", None)
-    assert (default.status, default.iterations) == (plain.status, plain.iterations)
-    assert np.array_equal(default.u_star, plain.u_star)
     assert default.status == clamp.status == STATUS_CONVERGED
     gap = np.max(np.abs(extract_solution(problem, default.u_star, default.psi_star).pi
                         - extract_solution(problem, clamp.u_star, clamp.psi_star).pi))
@@ -1012,38 +1022,32 @@ def _rolled_problem():
         uniform, uniform, GaussianKernel([[100.0]])))
 
 
-def _failed_plain_starts(monkeypatch):
-    """(name, problem, max_iter, plain_iterations) whose plain run fails, each
-    in its own way; ``plain_iterations`` is what the clamp run reports."""
-    gauss = _unit_gaussian(1.0, 801)
+_FAILED_DEFAULT_RUNS = {
     # the plain run needs 14 iterations
-    yield "max-iter", gauss, 5, 5
-    # no scaling exists: the plain run collapses, the floored clamp runs out of budget
-    infeasible = validate_reduction(
-        build_dense_problem([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.9, 0.1]))
-    plain = solve_untruncated(infeasible, max_iter=500)
-    assert plain.status == STATUS_DEGENERATE
-    yield "degenerate-zero", infeasible, 500, plain.iterations
-
-    def vanishing(problem, **kwargs):
-        raise NonFiniteIntermediate("dual vanished")
-
-    monkeypatch.setattr(fortet, "solve_untruncated", vanishing)
-    yield "non-finite-intermediate", gauss, 100_000, None
+    "max-iter": (lambda: _unit_gaussian(1.0, 801), 5, STATUS_MAX_ITER, 5),
+    # no scaling exists: the plain run collapses
+    "infeasible": (lambda: validate_reduction(build_dense_problem(
+        [[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.9, 0.1])), 20_000, STATUS_DEGENERATE, 19),
+    # phi underflows to 0 on the first row: the per-index rule stops at once
+    "underflow": (lambda: validate_reduction(build_dense_problem(
+        [[5e-324, 5e-324], [1e10, 1e10]], [0.5, 0.5], [0.5, 0.5])), 100_000,
+        STATUS_DEGENERATE, 0),
+}
 
 
-def test_failed_coarse_level_falls_back_to_the_clamp(monkeypatch):
+@pytest.mark.parametrize("name", list(_FAILED_DEFAULT_RUNS))
+def test_failed_default_run_is_the_plain_run(name):
+    # no clamp run follows: status, iterations, u_star and trace are the plain run's
     import warnings
 
-    for name, problem, max_iter, plain_iterations in _failed_plain_starts(monkeypatch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            default = solve_fortet(problem, max_iter=max_iter)
-        ones = solve_fortet(problem, U=np.ones(problem.n_x), max_iter=max_iter)
-        assert (default.scheme, default.plain_iterations) == ("truncated", plain_iterations), name
-        assert (default.status, default.iterations) == (ones.status, ones.iterations), name
-        assert np.array_equal(default.u_star, ones.u_star), name
-    monkeypatch.undo()
+    make, max_iter, status, iterations = _FAILED_DEFAULT_RUNS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        default = _assert_default_is_the_plain_run(make(), max_iter=max_iter)
+    assert (default.status, default.iterations) == (status, iterations)
+
+
+def test_default_solves_the_rolled_gaussian_in_one_iteration():
     rolled = solve_fortet(_rolled_problem())
-    assert (rolled.scheme, rolled.status, rolled.iterations, rolled.plain_iterations) == (
-        "untruncated", STATUS_CONVERGED, 1, None)
+    assert (rolled.scheme, rolled.status, rolled.iterations) == (
+        "untruncated", STATUS_CONVERGED, 1)
