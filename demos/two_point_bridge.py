@@ -38,7 +38,7 @@ for _ in range(6):
 result = solve_fortet(problem, tol=1e-12)
 print(f"\nconverged after {result.iterations} steps, status {result.status}")
 print(f"u* = {result.u_star}")
-print(f"fixed-point residual ||u - min(phi(u), U)||_inf = {result.residual:.3e}")
+print(f"fixed-point residual ||u - phi(u)||_inf = {result.residual:.3e}")
 print(f"normalization sum (should be 1): {normalization_check(problem, result.u_star)!r}")
 
 sol = extract_solution(problem, result.u_star, psi_star=result.psi_star)

@@ -2,8 +2,9 @@
 
 Solves for the pair of measures whose product with a fixed transition
 kernel has prescribed marginals -- equivalently, finds the positive
-fixed point of the associated potential map -- via a monotone truncated
-iteration, with a log-domain Sinkhorn baseline, machine-checkable
+fixed point of the associated potential map -- by the plain iteration
+``u <- phi(u)`` by default, or by the monotone truncated iteration from
+a given ceiling, with a log-domain Sinkhorn baseline, machine-checkable
 existence criteria, and closed-form Gaussian calculus for oracles and
 benchmark generation.
 """

@@ -153,7 +153,8 @@ class SchrodingerSolution:
 # ---------------------------------------------------------------------------
 
 
-_VANISHED_DUAL = "dual of a finite potential vanished somewhere; is the problem reduced?"
+_VANISHED_DUAL = ("dual of a finite potential vanished somewhere: mu/u underflowed, "
+                  "or the problem is not reduced")
 
 
 def _dual_step(problem: DiscreteProblem):
@@ -302,26 +303,36 @@ def _check_budget(tol: float, max_iter: int) -> None:
         raise ValueError(f"tol must be at least {MIN_TOL:.3g} and max_iter at least 1")
 
 
-@np.errstate(over="ignore")  # |phi - u|/u, up to 1/mu_i, may overflow: rel reads inf
-def _iterate(problem, u, tol, max_iter, trace, *, scheme, advance, target, scale,
-             degenerate_below, per_index=False, ceiling=None,
-             check_dichotomy=False) -> FixedPointResult:
-    """The loop of both schemes, ``u_{n+1} = advance(phi(u_n))`` from ``u_1 = u``.
+def _residual(u: np.ndarray, phi_u: np.ndarray, U: np.ndarray | None) -> float:
+    """``max |u - phi(u)|``, or with a ceiling ``max |u - min(phi(u), U)|``."""
+    return float(np.max(np.abs(u - (phi_u if U is None else np.minimum(phi_u, U)))))
 
-    ``u`` is finite and strictly positive, and so is every iterate the
-    loop steps from, so each step is :func:`_dual_step`.
-    ``advance(phi_u, u, n + 1)`` is ``u_{n+1}`` and its sup relative
-    change from ``u``.  The run converges once that change is at most
-    ``tol`` and ``max |u - target(phi(u))|`` at most ``tol * scale(u)``;
-    it is degenerate-zero once its level falls below ``degenerate_below``
-    while still decreasing, and divergent once a step passes the overflow
-    guard or the iterate lies above it.  The early-exit index is the first
-    n with ``phi(u_n) <= ceiling``.  The level is min phi, or with
-    ``per_index`` ``min_i phi_i(u_n) / phi_i(u_1)``, each index against its
-    own first value (0 when phi vanishes somewhere).  With
-    ``check_dichotomy``, a phi that vanishes at some points but not all
-    raises.  ``scheme`` names the scheme in the result.
+
+@np.errstate(over="ignore")  # |u_next - u|/u, up to 1/mu_i, may overflow: rel reads inf
+def _iterate(problem, u, tol, max_iter, trace, U=None) -> FixedPointResult:
+    """The loop of both schemes, ``u_{n+1} = clamp_n(phi(u_n))`` from ``u_1 = u``.
+
+    ``U=None`` is the plain scheme, the identity clamp; a ceiling ``U`` is
+    the truncated scheme, :func:`_clamp_step`, whose iterates may not
+    increase anywhere.  ``u`` and every iterate the loop steps from are
+    finite and strictly positive, so each step is :func:`_dual_step`.  The
+    run converges once ``max |u_{n+1} - u_n| / u_n <= tol`` and
+    :func:`_residual` is at most ``tol * max u`` (``tol * max U`` with a
+    ceiling).  It is degenerate-zero once its level falls below the cutoff
+    while still decreasing: ``min_i phi_i(u_n) / phi_i(u_1)`` (0 when phi
+    vanishes somewhere) against ``DEGENERATE_CUTOFF``, or with ``U``,
+    ``min phi`` against ``DEGENERATE_CUTOFF * min U``.  It is divergent once
+    a step passes the overflow guard or the iterate lies above it.  With
+    ``U`` the early-exit index is the first n with ``phi(u_n) <= U``, and
+    on a positive kernel a phi that vanishes at some points but not all
+    raises.
     """
+    if U is None:
+        cutoff = DEGENERATE_CUTOFF
+    else:
+        cutoff = DEGENERATE_CUTOFF * float(np.min(U))
+        sup_U = float(np.max(U))
+        check_dichotomy = bool((kernel_matrix(problem) > 0).all())
     records: list[TraceRecord] = []
     early_exit: int | None = None
     prev_level = INF
@@ -332,22 +343,26 @@ def _iterate(problem, u, tol, max_iter, trace, *, scheme, advance, target, scale
         ps, ph = step(u)
         first_phi = ph
         while True:
-            min_phi = float(np.minimum.reduce(ph))
-            if early_exit is None and ceiling is not None and (ph <= ceiling).all():
-                early_exit = n
-            if min_phi == 0.0 and check_dichotomy and float(np.max(ph)) != 0.0:
-                raise NonFiniteIntermediate(
-                    "dichotomy violated: phi vanished at some points but not all"
-                )
-            level = min_phi
-            if per_index and min_phi > 0.0:  # then first_phi > 0 too, or the run ended at n = 1
+            level = min_phi = float(np.minimum.reduce(ph))
+            if U is None and min_phi > 0.0:  # then first_phi > 0 too, or the run ended at n = 1
                 level = float(np.minimum.reduce(ph / first_phi))
-            if level < degenerate_below and level < prev_level:
+            if U is not None:
+                if early_exit is None and (ph <= U).all():
+                    early_exit = n
+                if min_phi == 0.0 and check_dichotomy and float(np.max(ph)) != 0.0:
+                    raise NonFiniteIntermediate("dichotomy violated: phi vanished at some "
+                                                "points but not all")
+            if level < cutoff and level < prev_level:
                 status = STATUS_DEGENERATE
                 break
             prev_level = level
 
-            u_next, rel = advance(ph, u, n + 1)
+            u_next = ph
+            if U is not None:
+                u_next = _clamp_step(ph, U, n + 1)
+                if not (u_next <= u).all():
+                    raise MonotonicityViolated("monotone decrease of the truncated scheme violated")
+            rel = float(np.maximum.reduce(np.abs(u_next - u) / u))
             if trace:
                 records.append(
                     TraceRecord(
@@ -362,12 +377,13 @@ def _iterate(problem, u, tol, max_iter, trace, *, scheme, advance, target, scale
             u = u_next
             n += 1
             ps, ph = step(u)
-            if rel <= tol and float(np.max(np.abs(u - target(ph)))) <= tol * scale(u):
+            if rel <= tol and _residual(u, ph, U) <= tol * (
+                    float(np.max(u)) if U is None else sup_U):
                 status = STATUS_CONVERGED
                 break
             if n > max_iter:
                 break
-        residual = float(np.max(np.abs(u - target(ph))))
+        residual = _residual(u, ph, U)
     except ExtOverflowError:
         status = STATUS_DIVERGENT
         residual = INF
@@ -376,8 +392,8 @@ def _iterate(problem, u, tol, max_iter, trace, *, scheme, advance, target, scale
         status = STATUS_DIVERGENT
 
     return FixedPointResult(u_star=u, iterations=n - 1, residual=residual, trace=records,
-                            status=status, scheme=scheme, early_exit_index=early_exit,
-                            psi_star=ps)
+                            status=status, scheme="untruncated" if U is None else "truncated",
+                            early_exit_index=early_exit, psi_star=ps)
 
 
 def solve_fortet(
@@ -412,21 +428,7 @@ def solve_fortet(
         return solve_untruncated(problem, tol=tol, max_iter=max_iter, trace=trace)
     _check_budget(tol, max_iter)
     U = _check_positive_finite(U, "ceiling U", problem.n_x)
-    sup_U = float(np.max(U))
-
-    def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
-        u_next = _clamp_step(phi_u, U, n_next)
-        if not (u_next <= u).all():
-            raise MonotonicityViolated("monotone decrease of the truncated scheme violated")
-        # every iterate lies in [U/n, U]: finite and strictly positive; and
-        # u - u_next is |u_next - u| bit for bit, as it is nonnegative
-        return u_next, float(np.maximum.reduce((u - u_next) / u))
-
-    return _iterate(problem, U.copy(), tol, max_iter, trace, scheme="truncated",
-                    advance=advance, target=lambda phi_u: np.minimum(phi_u, U),
-                    scale=lambda u: sup_U,
-                    degenerate_below=DEGENERATE_CUTOFF * float(np.min(U)), ceiling=U,
-                    check_dichotomy=bool((kernel_matrix(problem) > 0).all()))
+    return _iterate(problem, U.copy(), tol, max_iter, trace, U)
 
 
 def solve_untruncated(
@@ -450,13 +452,7 @@ def solve_untruncated(
     if u1 is None:
         u1 = np.ones(problem.n_x)
     u = _check_positive_finite(u1, "start u1", problem.n_x).copy()
-
-    def advance(phi_u: np.ndarray, u: np.ndarray, n_next: int):
-        return phi_u, float(np.maximum.reduce(np.abs(phi_u - u) / u))
-
-    return _iterate(problem, u, tol, max_iter, trace, scheme="untruncated", advance=advance,
-                    target=lambda phi_u: phi_u, scale=lambda u: float(np.max(u)),
-                    degenerate_below=DEGENERATE_CUTOFF, per_index=True)
+    return _iterate(problem, u, tol, max_iter, trace)
 
 
 # ---------------------------------------------------------------------------

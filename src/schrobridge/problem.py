@@ -176,16 +176,11 @@ class DenseKernel:
 class RadialKernel:
     """Kernel of the form p(x, y) = profile(|y - x|).
 
-    ``cutoff`` is the radius beyond which the profile is declared
-    non-increasing.  It is validated and round-tripped through problem
-    files, but nothing reads it: the radial existence check in
-    ``criteria.full_report`` scans candidate cutoffs of its own.
     ``profile_name``/``profile_params`` make the kernel serializable when
     the profile came from the registry.
     """
 
     profile: Callable[[np.ndarray], np.ndarray]
-    cutoff: float = 0.0
     profile_name: str | None = None
     profile_params: dict | None = None
 
@@ -246,17 +241,14 @@ def _is_finite_number(value) -> bool:
         return False
 
 
-def make_radial_kernel(name: str, cutoff: float = 0.0, **params) -> RadialKernel:
+def make_radial_kernel(name: str, **params) -> RadialKernel:
     """Build a registry radial kernel that round-trips through JSON.
 
-    Raises :class:`SchemaError` for an unknown profile, a cutoff that is
-    not a finite number, and a parameter the profile does not take or
-    that is not a finite positive number.
+    Raises :class:`SchemaError` for an unknown profile and a parameter the
+    profile does not take or that is not a finite positive number.
     """
     if not (isinstance(name, str) and name in RADIAL_PROFILES):
         raise SchemaError(f"unknown radial profile {name!r}; known: {sorted(RADIAL_PROFILES)}")
-    if not _is_finite_number(cutoff):
-        raise SchemaError(f"radial cutoff must be a finite number, not {cutoff!r}")
     known = inspect.signature(RADIAL_PROFILES[name]).parameters
     for key, value in params.items():
         if key not in known:
@@ -267,7 +259,6 @@ def make_radial_kernel(name: str, cutoff: float = 0.0, **params) -> RadialKernel
                               f"number, not {value!r}")
     return RadialKernel(
         profile=RADIAL_PROFILES[name](**params),
-        cutoff=float(cutoff),
         profile_name=name,
         profile_params=dict(params),
     )
@@ -478,7 +469,6 @@ def _kernel_to_dict(kernel: Kernel) -> dict:
         return {
             "kind": "radial",
             "profile": {"name": kernel.profile_name, "params": kernel.profile_params or {}},
-            "cutoff": kernel.cutoff,
         }
     raise SchemaError(f"unknown kernel type {type(kernel).__name__}")
 
@@ -495,7 +485,7 @@ def _kernel_from_dict(obj: dict) -> Kernel:
         params = prof.get("params", {})
         if not isinstance(params, dict):
             raise SchemaError("kernel.profile.params must be a JSON object")
-        return make_radial_kernel(name, cutoff=obj.get("cutoff", 0.0), **params)
+        return make_radial_kernel(name, **params)
     raise SchemaError(f"unknown kernel kind {kind!r}")
 
 

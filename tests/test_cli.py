@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -766,7 +767,6 @@ _MALFORMED = {
     "params-unknown": ("kernel", _radial("exponential", scale=1)),
     "params-string": ("kernel", _radial("exponential", rate="1")),
     "params-list": ("kernel", {"kind": "radial", "profile": {"name": "gaussian", "params": [1]}}),
-    "cutoff-string": ("kernel", {**_radial("exponential", rate=1), "cutoff": "far"}),
     "sigma-zero": ("kernel", _radial("gaussian", sigma=0)),
     "rate-negative": ("kernel", _radial("exponential", rate=-1000)),
     # positive and finite, but sigma**2 underflows: the profile is 0/0 at 0
@@ -913,7 +913,7 @@ def test_check_triple_with_a_precision_near_the_float_range(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# The default solve: the plain scheme, and the clamp when it fails
+# The default solve (the plain scheme) and the clamp from a given ceiling
 # ---------------------------------------------------------------------------
 
 # the reports of the worked 2x2 as the clamp from U = 1 (``--U`` with a
@@ -955,14 +955,20 @@ _TWO_BY_TWO_COMPARE = """{
 """
 
 
-@pytest.mark.parametrize("command, expected", [("solve", _TWO_BY_TWO_SOLVE),
-                                               ("compare", _TWO_BY_TWO_COMPARE)],
-                         ids=["solve", "compare"])
-def test_dense_reports_keep_their_bytes(tmp_path, two_by_two_file, command, expected):
-    out = tmp_path / "r.json"
-    assert main([command, "--input", two_by_two_file, "--output", str(out),
-                 "--U", ones_file(tmp_path, 2)]) == 0
-    assert out.read_text() == expected
+# the report and the trace CSV that ``solve --U ones.json --trace`` writes
+_TWO_BY_TWO_TRACE = Path(__file__).parent / "data" / "two_by_two_clamp_trace"
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["solve"], {"r.json": _TWO_BY_TWO_SOLVE.encode()}),
+    (["compare"], {"r.json": _TWO_BY_TWO_COMPARE.encode()}),
+    (["solve", "--trace"], {f.name: f.read_bytes() for f in _TWO_BY_TWO_TRACE.iterdir()}),
+], ids=["solve", "compare", "solve-trace"])
+def test_dense_reports_keep_their_bytes(tmp_path, two_by_two_file, args, expected):
+    assert main(args + ["--input", two_by_two_file, "--output", str(tmp_path / "r.json"),
+                        "--U", ones_file(tmp_path, 2)]) == 0
+    for name, content in expected.items():
+        assert (tmp_path / name).read_bytes() == content
 
 
 @pytest.mark.parametrize("command, iterations", [("solve", 6), ("compare", 8)])

@@ -328,6 +328,75 @@ def test_solvers_agree_with_chained_single_steps(two_by_two, size):
     assert np.array_equal(plain.u_star, u)
 
 
+def _chained_steps(problem, u1, U, steps):
+    """``u_1 .. u_{steps+1}`` and the phi of each, from the public single
+    steps: :func:`iterate_truncated` with a ceiling ``U``, ``phi`` without."""
+    us, phis = [u1], []
+    state = SchemeState(n=1, u=u1.copy(), ceiling=U)
+    for _ in range(steps):
+        if U is None:
+            phis.append(phi(problem, us[-1]))
+            us.append(phis[-1])
+        else:
+            state = iterate_truncated(state, problem)
+            phis.append(state.phi_u)
+            us.append(state.u)
+    phis.append(phi(problem, us[-1]))
+    return us, phis, state
+
+
+_STOPS = {  # (P, mu, nu, clamp?, u_1 = start * ones (and U = u_1), status, iterations)
+    # a start far from 1 tells the scale of the stopping test apart from 1
+    "plain-converged": ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5], [0.5, 0.5], False, 1e3,
+                        STATUS_CONVERGED, 6),
+    "clamp-converged": ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5], [0.5, 0.5], True, 1e3,
+                        STATUS_CONVERGED, 33),
+    # no scaling exists: the plain iterate collapses at index 1
+    "plain-degenerate": ([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.9, 0.1], False, 1.0,
+                         STATUS_DEGENERATE, 19),
+    # a kernel with a zero entry, where the clamp runs without the dichotomy check
+    "clamp-zero-entry": ([[1.0, 1.0], [0.0, 1.0]], [0.6, 0.4], [0.4, 0.6], True, 1.0,
+                         STATUS_CONVERGED, 55),
+}
+
+
+@pytest.mark.parametrize("name", list(_STOPS))
+def test_loop_stops_where_the_single_steps_say(name):
+    # each stopping branch of the loop against its rule evaluated on the
+    # public single steps: the run stops at the first n where the rule holds
+    P, mu, nu, clamp, start, status, iterations = _STOPS[name]
+    problem = validate_reduction(build_dense_problem(P, mu, nu))
+    tol, u1 = 1e-10, np.full(2, start)
+    U = u1 if clamp else None
+    result = (solve_fortet(problem, U=U, tol=tol, trace=True) if clamp
+              else solve_untruncated(problem, u1=u1, tol=tol, trace=True))
+    assert (result.status, result.iterations, result.scheme) == (
+        status, iterations, "truncated" if clamp else "untruncated")
+    us, phis, state = _chained_steps(problem, u1, U, iterations)
+    assert np.array_equal(result.u_star, us[-1])
+    assert result.early_exit_index == (state.early_exit_index if clamp else None)
+    targets = [ph if U is None else np.minimum(ph, U) for ph in phis]
+    assert result.residual == np.max(np.abs(us[-1] - targets[-1]))
+
+    assert len(result.trace) == iterations
+    for k, rec in enumerate(result.trace):
+        u, u_next = us[k], us[k + 1]
+        assert (rec.n, rec.min_u, rec.max_u, rec.min_phi) == (
+            k + 1, np.min(u), np.max(u), np.min(phis[k]))
+        assert rec.normalization == np.dot(problem.mu.weights / u, phis[k])
+        assert rec.residual == np.max(np.abs(u_next - u) / u)
+        if clamp:  # the clamp's change is nonnegative, so it needs no abs
+            assert rec.residual == np.max((u - u_next) / u)
+        scale = np.max(U) if clamp else np.max(u_next)
+        stops = rec.residual <= tol and np.max(np.abs(u_next - targets[k + 1])) <= tol * scale
+        assert stops == (status == STATUS_CONVERGED and k + 1 == iterations)
+
+    levels = [np.min(ph) if clamp else np.min(ph / phis[0]) for ph in phis]
+    cutoff = fortet.DEGENERATE_CUTOFF * (np.min(U) if clamp else 1.0)
+    falls = [level < cutoff and level < prev for prev, level in zip([INF] + levels, levels)]
+    assert falls == [False] * iterations + [status == STATUS_DEGENERATE]
+
+
 def test_solve_fortet_degenerate_cutoff_rule():
     # one row scaled far below the collapse cutoff: under the clamp from
     # U = 1, phi(U) starts under 1e-13 * min U while still decreasing,
@@ -817,7 +886,8 @@ def _guarded_chain(problem, u):
     ps = ext_matvec(P.T, scaled_inverse(problem.mu.weights, u))
     if not (ps > 0).all():
         raise NonFiniteIntermediate(
-            "dual of a finite potential vanished somewhere; is the problem reduced?"
+            "dual of a finite potential vanished somewhere: mu/u underflowed, "
+            "or the problem is not reduced"
         )
     return ps, ext_matvec(P, scaled_inverse(problem.nu.weights, ps))
 

@@ -171,9 +171,16 @@ def test_json_roundtrip_gaussian_and_radial_kernels(tmp_path, gaussian_1d_small)
     )
     rpath = tmp_path / "r.json"
     save_problem(radial, str(rpath))
+    doc = json.loads(rpath.read_text())
+    assert doc["kernel"] == {"kind": "radial",
+                             "profile": {"name": "exponential", "params": {"rate": 2.0}}}
     back = load_problem(str(rpath))
     assert isinstance(back.kernel, RadialKernel)
     assert np.allclose(kernel_matrix(back), kernel_matrix(radial), rtol=0, atol=0)
+    # a file written before the radial cutoff was dropped still loads
+    doc["kernel"]["cutoff"] = 1.5
+    rpath.write_text(json.dumps(doc))
+    assert np.array_equal(kernel_matrix(load_problem(str(rpath))), kernel_matrix(radial))
 
 
 def test_unregistered_radial_profile_cannot_serialize(tmp_path):
