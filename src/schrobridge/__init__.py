@@ -4,7 +4,7 @@ Solves for the pair of measures whose product with a fixed transition
 kernel has prescribed marginals -- equivalently, finds the positive
 fixed point of the associated potential map -- by the plain iteration
 ``u <- phi(u)`` by default, or by the monotone truncated iteration from
-a given ceiling, with a log-domain Sinkhorn baseline, machine-checkable
+a given ceiling, with a stabilized Sinkhorn baseline, machine-checkable
 existence criteria, and closed-form Gaussian calculus for oracles and
 benchmark generation.
 """

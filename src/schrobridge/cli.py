@@ -208,7 +208,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             payload.update({"status": ft.STATUS_MAX_ITER})
             _write_report(payload, args.output)
             return EXIT_MAX_ITER
-        except ValueError as exc:  # the oracle refuses a kernel with a zero entry
+        except ValueError as exc:  # a kernel with a zero entry, or scalings out of float range
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_DEGENERATE
         payload.update({"status": ft.STATUS_CONVERGED, "iterations": None, "residual": None})

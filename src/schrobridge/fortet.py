@@ -22,8 +22,8 @@ the overflow guard); and rejects ``tol`` below ``MIN_TOL``.  Inside the
 loop a step runs as two bare BLAS matvecs when scalar bounds on the
 kernel and the iterate rule out every overflow guard and a vanishing
 ``psi``, and as the public ``psi`` and ``phi`` otherwise (see
-``_dual_step``).  A log-domain Sinkhorn solver is included as an
-independent baseline, plus the kernel twisting transform
+``_dual_step``).  A Sinkhorn solver stabilized by absorption is included
+as an independent baseline, plus the kernel twisting transform
 ``p -> alpha(x) beta(y) p`` under which the coupling is invariant.
 
 All maps are pure with respect to the problem; sums inside a map may be
@@ -525,64 +525,74 @@ def potential_from_solution(problem: DiscreteProblem, solution: SchrodingerSolut
 
 
 def _logsumexp(t: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(t), axis))`` for a finite ``t``, overwriting ``t``.
-
-    Runs the finite path of ``scipy.special.logsumexp`` (scipy 1.17)
-    operation for operation, so the result is bitwise equal to it: split
-    the maxima out of the sum and count them (``m``), exponentiate the
-    rest shifted by the max, sum, and return ``log1p(s/m) + log(m) + max``.
-    scipy's second, unshifted ``log(sum(exp(t)))`` replaces only results
-    that are not finite, which a finite ``t`` of moderate size never gives,
-    so it is left out.
-    """
+    """``log(sum(exp(t), axis))`` for a finite ``t``, shifted by the max; overwrites ``t``."""
     t_max = t.max(axis=axis, keepdims=True)
-    at_max = t == t_max
-    m = np.count_nonzero(at_max, axis=axis, keepdims=True).astype(float)
-    np.putmask(t, at_max, -INF)
-    t -= t_max
-    np.exp(t, out=t)
-    s = t.sum(axis=axis, keepdims=True) / m
-    return (np.log1p(s) + np.log(m) + t_max).squeeze(axis)
+    np.exp(np.subtract(t, t_max, out=t), out=t)
+    return np.log(t.sum(axis=axis)) + t_max.squeeze(axis)
 
 
-def sinkhorn_baseline(
-    problem: DiscreteProblem,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> SchrodingerSolution:
-    """Log-domain Sinkhorn / IPF on the kernel matrix.
+@np.errstate(divide="ignore", over="ignore")  # a scaling out of float range is absorbed
+def sinkhorn_baseline(problem: DiscreteProblem, tol: float = 1e-10,
+                      max_iter: int = 100_000) -> SchrodingerSolution:
+    """Sinkhorn / IPF on the kernel matrix, stabilized by absorption.
 
-    Alternates b <- nu / (P^T a) and a <- mu / (P b) in log space until
-    both marginal sup-residuals are at most ``tol``.  Serves as the
-    independent oracle for the Fortet solver; requires a strictly
-    positive kernel and, like the Fortet solvers, ``tol`` at least
-    ``MIN_TOL``.  Besides the cached kernel it holds ``log P`` and one
-    work array of the same shape.
+    Alternates ``b <- nu / (K^T a)`` and ``a <- mu / (K b)`` on
+    ``K = exp(log P + f + g)``, from ``K = P`` and ``a = 1``, until the
+    column sup-residual is at most ``tol``.  A scaling with an entry of
+    ``|log| > 100``, zero or non-finite included, is absorbed (Schmitzer
+    2019, Algorithm 2): the other goes into its potential, the step is
+    redone exactly in the log domain, ``K`` (now at most 1) is rebuilt, and
+    ``a = b = 1``.  Scalings ``a e^f``, ``b e^g`` or marginals out of float
+    range raise :class:`DegeneratePotential`.  The Fortet solver's oracle:
+    needs a strictly positive kernel and ``tol >= MIN_TOL``; holds no
+    kernel-sized array until it absorbs, ``log P`` and ``K`` after that.
     """
     _check_budget(tol, max_iter)
     P = kernel_matrix(problem)
     if not (P > 0).all():
         raise ValueError("sinkhorn_baseline requires a strictly positive kernel")
-    logP = np.log(P)
-    work = np.empty_like(logP)
-    logmu = np.log(problem.mu.weights)
-    lognu = np.log(problem.nu.weights)
-    f = np.zeros(problem.n_x)
-    g = lognu - _logsumexp(np.add(logP, f[:, None], out=work), axis=0)
-    for it in range(1, max_iter + 1):
-        f = logmu - _logsumexp(np.add(logP, g[None, :], out=work), axis=1)
-        # rows are exact after the f update; only the column error remains
-        col_log = _logsumexp(np.add(logP, f[:, None], out=work), axis=0)
-        col_err = float(np.max(np.abs(np.exp(g + col_log) - problem.nu.weights)))
-        if col_err <= tol:
+    mu, nu = problem.mu.weights, problem.nu.weights
+    K, logP, f, g = P, None, np.zeros(problem.n_x), np.zeros(problem.n_y)
+
+    def out_of_range(scaling):  # |log| > 100 somewhere, or a NaN
+        return not np.max(np.abs(np.log(scaling))) <= 100.0
+
+    def absorb(f, g, axis):
+        """Redo the step of ``g`` (axis 0) or ``f`` (axis 1) in the log domain; rebuild K."""
+        nonlocal K, logP
+        if K is P:
+            logP, K = np.log(P), np.empty_like(P)
+        if axis == 0:
+            g = np.log(nu) - _logsumexp(np.add(logP, f[:, None], out=K), axis=0)
+        else:
+            f = np.log(mu) - _logsumexp(np.add(logP, g, out=K), axis=1)
+        np.exp(np.add(np.add(logP, f[:, None], out=K), g, out=K), out=K)
+        return f, g
+
+    a, col = 1.0, P.sum(axis=0)  # the first b step, from a = 1
+    for _ in range(max_iter):
+        b = nu / col
+        if out_of_range(b):
+            f, g = absorb(f + np.log(a), g, axis=0)
+            b = np.ones(problem.n_y)
+        a = mu / (K @ b)
+        if out_of_range(a):
+            f, g = absorb(f, g + np.log(b), axis=1)
+            a, b = np.ones(problem.n_x), np.ones(problem.n_y)
+        col = K.T @ a
+        if float(np.max(np.abs(b * col - nu))) <= tol:
             break
-        g = lognu - col_log
     else:
-        raise MaxIterExceeded(
-            f"sinkhorn did not reach tol={tol:g} in {max_iter} iterations",
-            iterations=max_iter,
-        )
-    return _solution(problem, np.exp(f), np.exp(g))
+        raise MaxIterExceeded(f"sinkhorn did not reach tol={tol:g} in {max_iter} iterations",
+                              iterations=max_iter)
+    f, g = f + np.log(a), g + np.log(b)
+    shift = _logsumexp(f.copy(), axis=0)  # the free scale, at sum(a) = 1 as in _solution
+    sol = _solution(problem, *(
+        _check_positive_finite(np.exp(v), f"sinkhorn scaling {name}", v.size, DegeneratePotential)
+        for name, v in (("a", f - shift), ("b", g + shift))))
+    if not math.isfinite(sol.marginal_err_x + sol.marginal_err_y):  # P b or P^T a overflowed
+        raise DegeneratePotential("sinkhorn scalings a and b give non-finite marginals")
+    return sol
 
 
 # ---------------------------------------------------------------------------

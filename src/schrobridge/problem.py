@@ -208,9 +208,9 @@ class GaussianKernel:
     def evaluate(self, x_points: np.ndarray, y_points: np.ndarray) -> np.ndarray:
         """The density ``norm exp(-quad / 2)``, ``norm`` from :func:`_gaussian_log_norm`."""
         diff = y_points[None, :, :] - x_points[:, None, :]
-        quad = np.einsum("ijk,kl,ijl->ij", diff, self.c, diff)
+        half = np.einsum("ijk,kl,ijl->ij", diff, -0.5 * self.c, diff)  # -quad/2, scaled exactly
         with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
-            return np.exp(_gaussian_log_norm(self.c)) * np.exp(-0.5 * quad)
+            return np.multiply(np.exp(half, out=half), np.exp(_gaussian_log_norm(self.c)), out=half)
 
 
 def _gaussian_log_norm(precision: np.ndarray) -> float:

@@ -46,6 +46,21 @@ def random_positive_problem(rng, nx, ny, low=0.05, high=3.0):
     return build_dense_problem(P, mu / mu.sum(), nu / nu.sum())
 
 
+def wide_kernel_problems(count):
+    """Seeded dense problems of 2-8 points a side whose kernel entries are
+    ``exp(U(-s, s))`` for ``s`` cycling through 10, 100, 300, 600 and 700,
+    with marginals ``exp(U(-5, 0))``, normalized: scalings that span the
+    float range."""
+    rng = np.random.default_rng(11)
+    for k in range(count):
+        s = (10.0, 100.0, 300.0, 600.0, 700.0)[k % 5]
+        nx, ny = rng.integers(2, 9, 2)
+        P = np.exp(rng.uniform(-s, s, (nx, ny)))
+        mu = np.exp(rng.uniform(-5.0, 0.0, nx))
+        nu = np.exp(rng.uniform(-5.0, 0.0, ny))
+        yield build_dense_problem(P, mu / mu.sum(), nu / nu.sum())
+
+
 @pytest.fixture
 def two_by_two():
     """The worked 2x2 problem: P=[[1,2],[3,4]], uniform marginals."""

@@ -10,7 +10,7 @@ import pytest
 from schrobridge import kernel_matrix, load_problem, save_problem, validate_reduction
 from schrobridge.cli import main
 from schrobridge.gaussian import GaussianProblem, discretize_gaussian
-from conftest import build_dense_problem
+from conftest import build_dense_problem, wide_kernel_problems
 
 
 @pytest.fixture
@@ -335,6 +335,19 @@ def test_solve_sinkhorn_on_structural_zero_exit_two(tmp_path, capsys):
                  "--output", str(tmp_path / "s.json")])
     assert code == 2
     assert "strictly positive" in _one_error_line(capsys)
+
+
+def test_solve_sinkhorn_with_a_scaling_out_of_float_range_exit_two(tmp_path, capsys):
+    # Sinkhorn converges, but with sum(a) = 1 an entry of a is below the smallest float
+    path = tmp_path / "p.json"
+    save_problem(list(wide_kernel_problems(5))[4], str(path))
+    out = tmp_path / "s.json"
+    code = main(["solve", "--input", str(path), "--scheme", "sinkhorn", "--tol", "1e-12",
+                 "--output", str(out)])
+    assert code == 2
+    assert _one_error_line(capsys) == ("error: sinkhorn scaling a must be strictly positive "
+                                       "and finite\n")
+    assert not out.exists()
 
 
 def test_solve_dichotomy_violation_exit_two(tmp_path, capsys):
@@ -944,12 +957,12 @@ _TWO_BY_TWO_SOLVE = """{
 """
 _TWO_BY_TWO_COMPARE = """{
   "command": "compare",
-  "coupling_gap": 1.0547118733938987e-15,
+  "coupling_gap": 9.992007221626409e-16,
   "fortet_iterations": 47,
   "fortet_rel_entropy": -2.1859366056205083,
   "fortet_status": "converged-positive",
   "gap_tol": 1e-08,
-  "potential_gap": 2.6645352591003757e-15,
+  "potential_gap": 2.609024107869118e-15,
   "sinkhorn_rel_entropy": -2.1859366056205065
 }
 """

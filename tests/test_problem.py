@@ -25,6 +25,7 @@ from schrobridge import (
     save_problem,
     validate_reduction,
 )
+from schrobridge.problem import _gaussian_log_norm
 from conftest import build_dense_problem
 
 
@@ -334,6 +335,21 @@ def test_reduction_slices_a_dense_kernel():
     assert np.shares_memory(kernel_matrix(reduced), reduced.kernel.entries)
     res = check_compact_domination(reduced, [0], [0], [1.0])
     assert res.continuity == "asserted-not-checked"
+
+
+@pytest.mark.parametrize("c, n", [([[1.0]], 801), ([[2.0, 0.3], [0.3, 0.5]], 60)],
+                         ids=["1-D", "2-D"])
+def test_gaussian_kernel_keeps_the_bits_of_the_density_formula(c, n):
+    # the kernel is evaluated in place; each entry keeps the bits of
+    # norm * exp(-0.5 * quad), computed out of place
+    rng = np.random.default_rng(5)
+    x = rng.normal(0.0, 3.0, (n, len(c)))
+    y = rng.normal(0.0, 3.0, (n + 7, len(c)))
+    c = np.array(c)
+    diff = y[None, :, :] - x[:, None, :]
+    quad = np.einsum("ijk,kl,ijl->ij", diff, c, diff)
+    expected = np.exp(_gaussian_log_norm(c)) * np.exp(-0.5 * quad)
+    assert np.array_equal(GaussianKernel(c).evaluate(x, y), expected)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
