@@ -2,11 +2,11 @@
 
 Solves for the pair of measures whose product with a fixed transition
 kernel has prescribed marginals -- equivalently, finds the positive
-fixed point of the associated potential map -- by the plain iteration
-``u <- phi(u)`` by default, or by the monotone truncated iteration from
-a given ceiling, with a stabilized Sinkhorn baseline, machine-checkable
-existence criteria, and closed-form Gaussian calculus for oracles and
-benchmark generation.
+fixed point of the associated potential map -- with one entry point,
+``solve_fortet``: the plain iteration ``u <- phi(u)`` by default, or the
+monotone truncated iteration from a given ceiling; with a stabilized
+Sinkhorn baseline, machine-checkable existence criteria, and closed-form
+Gaussian calculus for oracles and benchmark generation.
 """
 
 from .extnum import INF, OVERFLOW_LIMIT, ExtOverflowError
@@ -48,7 +48,6 @@ from .fortet import (
     restricted_normalization,
     sinkhorn_baseline,
     solve_fortet,
-    solve_untruncated,
     twist,
     untwist_solution,
 )

@@ -14,7 +14,7 @@ message names its file, line and column), a kernel whose values are
 negative or not finite (``problem.EvaluationError``), a ``--tol`` below 4 eps
 (``fortet.MIN_TOL``) or NaN, a ``--U`` or ``--moment-U`` file that is
 not a list of one finite, strictly positive number per x point, a
-``--U`` file or ``--trace`` with a scheme it does not apply to, a
+``--U`` file or ``--trace`` with ``--scheme sinkhorn``, a
 ``--moment-U`` or ``--domination-witness`` with a Gaussian triple, a
 witness without the keys K, x and c, with an index that is not an
 integer or lies outside the x grid, or with a coefficient not finite
@@ -24,7 +24,7 @@ grid with ``--points-per-dim`` not odd and at least 3,
 ``--half-width-sigmas`` not positive, or more points than
 ``gaussian.MAX_GRID_POINTS``, a kernel larger than
 ``problem.MAX_KERNEL_BYTES``, and a problem with no solution: before a
-Fortet run (``solve`` with either Fortet scheme, ``compare``) a kernel
+Fortet run (``solve --scheme fortet``, ``compare``) a kernel
 with a zero entry is checked for a scaling certificate
 (``criteria.scaling_certificate``), and a verified one is refused with
 one ``error:`` line that names the x points S, the y points N(S) they
@@ -44,14 +44,11 @@ finds it.  Such a ``check`` reports the certificate under
 ``scaling_certificate`` without changing its exit code; null there means
 that none was found, which is not a proof that a solution exists.
 
-``--U ones``, the default of ``solve --scheme truncated`` and ``compare``,
-asks for the default solve (``fortet.solve_fortet`` with ``U=None``):
-the plain scheme run to ``--tol``, converged or not, so its report is
-that of ``solve --scheme untruncated`` byte for byte.  A ``solve``
-report's ``scheme`` names the scheme whose result it holds, so a default
-report reads ``"untruncated"``.  A ``--U`` file runs the clamp from that
-ceiling, the paper's scheme; a file of ones gives the clamp from
-``U = 1``.
+``solve --scheme fortet`` (the default) and ``compare`` run
+``fortet.solve_fortet``: without ``--U`` the plain scheme to ``--tol``,
+converged or not, and with a ``--U`` file the clamp from that ceiling,
+the paper's scheme.  A ``solve`` report's ``scheme`` names the scheme
+that ran: ``"untruncated"``, ``"truncated"`` or ``"sinkhorn"``.
 
 Reports are JSON with sorted keys (byte-identical for identical inputs);
 infinities are serialized as the string "inf".  A solution report holds
@@ -194,10 +191,8 @@ def _discretize(args: argparse.Namespace, obj):
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.scheme != "truncated" and args.U != "ones":
-        raise ValidationError(f"--U applies to --scheme truncated only, not {args.scheme}")
-    if args.scheme == "sinkhorn" and args.trace:
-        raise ValidationError("--trace applies to the Fortet schemes only, not sinkhorn")
+    if args.scheme == "sinkhorn" and (args.U is not None or args.trace):
+        raise ValidationError("--U and --trace apply to --scheme fortet only, not sinkhorn")
     problem = _load_validated(args)
     payload: dict = {"command": "solve", "scheme": args.scheme}
 
@@ -217,10 +212,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     _refuse_without_scaling(problem)
-    # the plain scheme takes no --U file (refused above): its U=None is the plain run
     result = ft.solve_fortet(
         problem,
-        U=None if args.U == "ones" else _load_ceiling(args.U, problem),
+        U=None if args.U is None else _load_ceiling(args.U, problem),
         tol=args.tol,
         max_iter=args.max_iter,
         trace=args.trace,
@@ -385,7 +379,7 @@ def _coupling_gap(one: ft.SchrodingerSolution, two: ft.SchrodingerSolution) -> f
 def cmd_compare(args: argparse.Namespace) -> int:
     problem = _load_validated(args)
     _refuse_without_scaling(problem)
-    U = None if args.U == "ones" else _load_ceiling(args.U, problem)
+    U = None if args.U is None else _load_ceiling(args.U, problem)
     result = ft.solve_fortet(problem, U=U, tol=args.tol, max_iter=args.max_iter)
     failed = result.status != ft.STATUS_CONVERGED
     payload: dict = {
@@ -461,16 +455,14 @@ def build_parser() -> argparse.ArgumentParser:
     fmt.add_argument("--format", choices=["json", "csv-bundle"], default="json")
     fortet = argparse.ArgumentParser(add_help=False)
     fortet.add_argument("--max-iter", type=int, default=100_000)
-    fortet.add_argument("--U", default="ones",
-                        help="'ones' for the plain scheme to --tol, or a JSON file "
-                             "with the ceiling vector, which runs the clamp")
+    fortet.add_argument("--U", help="JSON file with a ceiling vector: runs the clamp from it "
+                                     "instead of the plain scheme")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--points-per-dim", type=int)
     grid.add_argument("--half-width-sigmas", type=float, default=6.0)
 
     p_solve = sub.add_parser("solve", parents=[files, fmt, fortet], help="solve a problem file")
-    p_solve.add_argument("--scheme", choices=["truncated", "untruncated", "sinkhorn"],
-                         default="truncated")
+    p_solve.add_argument("--scheme", choices=["fortet", "sinkhorn"], default="fortet")
     p_solve.add_argument("--tol", type=float, default=1e-10)
     p_solve.add_argument("--trace", action="store_true")
     p_solve.set_defaults(handler=cmd_solve)

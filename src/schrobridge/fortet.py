@@ -14,8 +14,8 @@ truncated scheme
 which decreases monotonically, stays within [U/n, U], and keeps every
 iterate strictly positive; and the plain scheme ``u_{n+1} = phi(u_n)``
 (the identity clamp), the classical potential form of Sinkhorn /
-iterative proportional fitting.  :func:`solve_fortet` without a given
-ceiling runs the plain scheme alone.  Either scheme starts from a
+iterative proportional fitting.  :func:`solve_fortet` runs the first
+from a given ceiling and the second otherwise.  Either scheme starts from a
 finite, strictly positive vector, checked once at entry; ends
 converged-positive, degenerate-zero, max-iter, or divergent (a step past
 the overflow guard); and rejects ``tol`` below ``MIN_TOL``.  Inside the
@@ -402,57 +402,38 @@ def solve_fortet(
     tol: float = 1e-10,
     max_iter: int = 100_000,
     trace: bool = False,
+    u1: np.ndarray | None = None,
 ) -> FixedPointResult:
-    """Solve by the plain scheme, or by the truncated scheme from ``u_1 = U``.
+    """Solve by the truncated scheme from a ceiling ``U``, or else by the plain scheme.
 
-    ``U=None`` asks for the default: the plain scheme,
-    :func:`solve_untruncated` from all ones with the same ``tol``,
-    ``max_iter`` and ``trace``, whose result is returned as it ends,
-    converged or not.  On a positive kernel that is Sinkhorn's iteration,
-    which converges whenever a scaling exists (Sinkhorn & Knopp 1967), and
-    on a kernel with zeros it is IPF, which converges exactly when one
-    exists (Pukelsheim 2014).  A given ``U`` runs the truncated scheme,
-    which is the paper's.  ``scheme`` names the scheme whose result is
-    returned.
+    A given ``U`` runs the truncated scheme from ``u_1 = U``, the paper's.
+    Otherwise the plain iteration ``u_{n+1} = phi(u_n)`` runs from ``u1``
+    (default all ones): Sinkhorn's iteration on a positive kernel, which
+    converges whenever a scaling exists (Sinkhorn & Knopp 1967), and IPF on
+    a kernel with zeros, which converges exactly when one exists
+    (Pukelsheim 2014).  ``scheme`` names the scheme that ran: "truncated"
+    or "untruncated".  ``U`` and ``u1`` must be finite, strictly positive
+    and not both given, and ``tol`` at least ``MIN_TOL``, or ``ValueError``.
 
-    The truncated run stops when the sup relative change of u drops to
-    ``tol`` *and* the fixed-point residual ``||u - min(phi(u), U)||_inf``
-    is at most ``tol * ||U||_inf``; the returned status is then
-    converged-positive.  Collapse of phi toward zero (below
-    ``DEGENERATE_CUTOFF * min U`` while still decreasing) reports
-    degenerate-zero, a step past the overflow guard reports divergent,
-    and an exhausted budget reports max-iter.  ``tol`` must be at least
-    ``MIN_TOL``.
+    Either run returns its result as it ends: converged-positive once the
+    sup relative change of u is at most ``tol`` *and* the fixed-point
+    residual ``||u - min(phi(u), U)||_inf`` at most ``tol * ||U||_inf``
+    (``||u - phi(u)||_inf`` and ``tol * ||u||_inf`` without a ceiling);
+    degenerate-zero once, while still decreasing, ``min phi`` falls below
+    ``DEGENERATE_CUTOFF * min U``, or without a ceiling, where nothing
+    floors the iterate, ``min_i phi_i(u_n) / phi_i(u_1)`` below
+    ``DEGENERATE_CUTOFF``, so each index is measured against its own scale;
+    divergent at a step past the overflow guard; max-iter otherwise.
     """
-    if U is None:
-        return solve_untruncated(problem, tol=tol, max_iter=max_iter, trace=trace)
     _check_budget(tol, max_iter)
+    if U is None:
+        u1 = np.ones(problem.n_x) if u1 is None else u1
+        return _iterate(problem, _check_positive_finite(u1, "start u1", problem.n_x).copy(),
+                        tol, max_iter, trace)
+    if u1 is not None:
+        raise ValueError("solve_fortet takes a ceiling U or a start u1, not both")
     U = _check_positive_finite(U, "ceiling U", problem.n_x)
     return _iterate(problem, U.copy(), tol, max_iter, trace, U)
-
-
-def solve_untruncated(
-    problem: DiscreteProblem,
-    u1: np.ndarray | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    trace: bool = False,
-) -> FixedPointResult:
-    """Plain iteration u_{n+1} = phi(u_n) from u_1 (default all ones).
-
-    Without the positivity floor the iteration may collapse to the zero
-    fixed point (status degenerate-zero: ``min_i phi_i(u_n) / phi_i(u_1)``
-    below ``DEGENERATE_CUTOFF`` while still decreasing, so each index is
-    measured against its own scale) or blow up past the overflow guard
-    (status divergent).  ``u1`` must be finite and strictly
-    positive, like the ceiling of :func:`solve_fortet`; ``tol`` must be
-    at least ``MIN_TOL``.
-    """
-    _check_budget(tol, max_iter)
-    if u1 is None:
-        u1 = np.ones(problem.n_x)
-    u = _check_positive_finite(u1, "start u1", problem.n_x).copy()
-    return _iterate(problem, u, tol, max_iter, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_solve_missing_file_exit(tmp_path):
 
 
 def test_solve_untruncated_and_sinkhorn(tmp_path, two_by_two_file):
-    for scheme in ("untruncated", "sinkhorn"):
+    for scheme in ("fortet", "sinkhorn"):
         out = tmp_path / f"{scheme}.json"
         code = main(["solve", "--input", two_by_two_file, "--scheme", scheme,
                      "--output", str(out)])
@@ -118,7 +118,7 @@ def test_solve_untruncated_on_wide_range_potentials(tmp_path):
     path = tmp_path / "hard.json"
     save_problem(validate_reduction(discretize_gaussian(gp, points_per_dim=31)), str(path))
     out = tmp_path / "sol.json"
-    code = main(["solve", "--input", str(path), "--scheme", "untruncated", "--tol", "1e-5",
+    code = main(["solve", "--input", str(path), "--scheme", "fortet", "--tol", "1e-5",
                  "--output", str(out)])
     assert code == 0
     report = read(out)
@@ -433,7 +433,6 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["check", "--domination-witness", "{file}"], '{"K": [0], "c": [1.0]}'),
         (["check", "--moment-r", "0.5"], None),
         # options the chosen path would not read
-        (["solve", "--scheme", "untruncated", "--U", "{file}"], "[1.0, 1.0]"),
         (["solve", "--scheme", "sinkhorn", "--U", "{file}"], "[1.0, 1.0]"),
         (["solve", "--scheme", "sinkhorn", "--trace"], None),
         (["check", "--input", "{triple}", "--moment-U", "{file}"], "[1.0, 1.0]"),
@@ -468,7 +467,7 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["check", "--input", "{file}"], '{"a": "1.0", "b": true, "c": 1.0}'),
     ],
     ids=["U-zero", "U-nan", "U-string", "moment-U-zero", "moment-U-string",
-         "witness-without-x", "moment-r-half", "U-untruncated", "U-sinkhorn", "trace-sinkhorn",
+         "witness-without-x", "moment-r-half", "U-sinkhorn", "trace-sinkhorn",
          "moment-U-gaussian", "witness-gaussian", "witness-index-past-end",
          "witness-index-negative", "witness-coefficient-negative", "witness-index-fraction",
          "witness-index-float-fraction", "witness-index-bool", "witness-coefficient-string",
@@ -515,10 +514,10 @@ def test_options_and_defaults_are_pinned():
     from schrobridge.cli import build_parser
 
     files = {"--input": "in.json", "--output": None}
-    solver = {"--format": "json", "--max-iter": 100_000, "--U": "ones"}
+    solver = {"--format": "json", "--max-iter": 100_000, "--U": None}
     grid = {"--points-per-dim": None, "--half-width-sigmas": 6.0}
     expected = {
-        "solve": {**files, **solver, "--scheme": "truncated", "--tol": 1e-10, "--trace": False},
+        "solve": {**files, **solver, "--scheme": "fortet", "--tol": 1e-10, "--trace": False},
         "check": {**files, **grid, "--format": "json", "--finite-guard": 1e15,
                   "--domination-witness": None, "--moment-U": None, "--moment-r": None},
         "compare": {**files, **solver, "--tol": 1e-14, "--gap-tol": 1e-8},
@@ -533,6 +532,52 @@ def test_options_and_defaults_are_pinned():
         parsed = {opt: getattr(args, action.dest) for action in sub._actions
                   for opt in action.option_strings if opt not in ("-h", "--help")}
         assert parsed == expected[command], command
+
+
+@pytest.mark.parametrize("scheme", ["truncated", "untruncated"])
+def test_old_scheme_spellings_are_usage_errors(two_by_two_file, capsys, scheme):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--input", two_by_two_file, "--scheme", scheme])
+    assert info.value.code == 2
+    assert "'fortet', 'sinkhorn'" in capsys.readouterr().err
+
+
+def test_a_ceiling_file_named_ones_runs_the_clamp(tmp_path, two_by_two_file, monkeypatch):
+    # "ones" is a file name like any other, not a request for the plain scheme
+    monkeypatch.chdir(tmp_path)
+    for name in ("ones", "ceil.json"):
+        (tmp_path / name).write_text("[2.0, 2.0]")
+    for command in ("solve", "compare"):
+        for name in ("ones", "ceil.json"):
+            assert main([command, "--input", two_by_two_file, "--U", name,
+                         "--output", f"{command}-{name}.out"]) == 0
+        report = (tmp_path / f"{command}-ones.out").read_bytes()
+        assert report == (tmp_path / f"{command}-ceil.json.out").read_bytes()
+    assert read(tmp_path / "solve-ones.out")["scheme"] == "truncated"
+
+
+def _readme_command_lines():
+    """Every ``schrobridge ...`` command of README's fenced code blocks, as an argv."""
+    import shlex
+
+    readme = Path(__file__).parent.parent / "README.md"
+    commands, fenced = [], False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("```"):
+            fenced = not fenced
+        elif fenced and line.startswith("schrobridge "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_command_lines_parse():
+    from schrobridge.cli import build_parser
+
+    commands = _readme_command_lines()
+    assert len(commands) >= 5
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_gaussian_gen_stdout_equals_output_file(tmp_path, capsys):
@@ -595,7 +640,7 @@ INFEASIBLE = {
 
 
 @pytest.mark.parametrize("name", sorted(INFEASIBLE))
-@pytest.mark.parametrize("args", [["solve"], ["solve", "--scheme", "untruncated"], ["compare"]],
+@pytest.mark.parametrize("args", [["solve"], ["solve", "--scheme", "fortet"], ["compare"]],
                          ids=["truncated", "untruncated", "compare"])
 def test_no_scaling_is_refused_before_iterating(tmp_path, capsys, monkeypatch, name, args):
     from schrobridge import fortet
@@ -617,9 +662,9 @@ def test_feasible_kernel_with_zero_entry_solves(tmp_path):
     problem = build_dense_problem([[1.0, 1.0], [0.0, 1.0]], [0.6, 0.4], [0.4, 0.6])
     path = tmp_path / "p.json"
     save_problem(problem, str(path))
-    for scheme in ("truncated", "untruncated"):
-        out = tmp_path / f"{scheme}.json"
-        assert main(["solve", "--input", str(path), "--scheme", scheme, "--output", str(out),
+    for scheme in ([], ["--scheme", "fortet"]):
+        out = tmp_path / f"{len(scheme)}.json"
+        assert main(["solve", "--input", str(path), *scheme, "--output", str(out),
                      "--tol", "1e-12"]) == 0
         report = read(out)
         assert report["status"] == "converged-positive"
@@ -664,7 +709,7 @@ def test_kernel_byte_cap_refuses_before_allocating(tmp_path, capsys, monkeypatch
                  "--output", str(path)]) == 0
     out = tmp_path / "r.json"
     argv = {"check": ["check", "--input", str(gp), "--points-per-dim", "9"],
-            "solve": ["solve", "--input", str(path), "--scheme", "untruncated"]}[command]
+            "solve": ["solve", "--input", str(path), "--scheme", "fortet"]}[command]
     argv += ["--output", str(out)]
     monkeypatch.setattr(problem_module, "MAX_KERNEL_BYTES", need - 1)
     assert main(argv) == 1
@@ -974,9 +1019,10 @@ _TWO_BY_TWO_TRACE = Path(__file__).parent / "data" / "two_by_two_clamp_trace"
 
 @pytest.mark.parametrize("args, expected", [
     (["solve"], {"r.json": _TWO_BY_TWO_SOLVE.encode()}),
+    (["solve", "--scheme", "fortet"], {"r.json": _TWO_BY_TWO_SOLVE.encode()}),
     (["compare"], {"r.json": _TWO_BY_TWO_COMPARE.encode()}),
     (["solve", "--trace"], {f.name: f.read_bytes() for f in _TWO_BY_TWO_TRACE.iterdir()}),
-], ids=["solve", "compare", "solve-trace"])
+], ids=["solve", "solve-fortet", "compare", "solve-trace"])
 def test_dense_reports_keep_their_bytes(tmp_path, two_by_two_file, args, expected):
     assert main(args + ["--input", two_by_two_file, "--output", str(tmp_path / "r.json"),
                         "--U", ones_file(tmp_path, 2)]) == 0
@@ -1036,7 +1082,7 @@ def test_two_dimensional_gaussians_solve_from_the_default_ceiling(tmp_path, name
     assert report["scheme"] == "untruncated" and report["iterations"] <= 100
 
 
-def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
+def test_failed_default_run_reports_the_plain_scheme_and_its_exit(tmp_path, capsys):
     # a plain run out of budget (it needs 14): no clamp run follows, so the
     # default report is the plain scheme's, byte for byte, with its exit
     import warnings
@@ -1054,7 +1100,7 @@ def test_failed_coarse_level_keeps_the_clamp_and_its_exit(tmp_path, capsys):
         if command == "solve":
             plain = tmp_path / "plain.json"
             assert main([command, "--input", g801, "--output", str(plain), "--max-iter", "5",
-                         "--scheme", "untruncated"]) == code
+                         "--scheme", "fortet"]) == code
             assert default.read_bytes() == plain.read_bytes()
             assert report["scheme"] == "untruncated"
     assert capsys.readouterr().err == ""

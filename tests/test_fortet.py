@@ -32,7 +32,6 @@ from schrobridge import (
     restricted_normalization,
     sinkhorn_baseline,
     solve_fortet,
-    solve_untruncated,
     twist,
     untwist_solution,
     validate_reduction,
@@ -285,11 +284,11 @@ def test_solve_fortet_max_iter(two_by_two):
 def test_solvers_reject_tol_below_machine_precision(two_by_two):
     # below a few eps the stopping test can sit under rounding noise
     assert MIN_TOL == 4 * np.finfo(float).eps
-    for solve in (solve_fortet, solve_untruncated):
+    for start in ({}, {"u1": np.ones(2)}, {"U": np.ones(2)}):
         for tol in (1e-16, math.nan):
             with pytest.raises(ValueError, match="tol must be at least"):
-                solve(two_by_two, tol=tol)
-        assert solve(two_by_two, tol=MIN_TOL, max_iter=3).iterations == 3
+                solve_fortet(two_by_two, tol=tol, **start)
+        assert solve_fortet(two_by_two, tol=MIN_TOL, max_iter=3, **start).iterations == 3
     # the oracle follows the same rule instead of burning its budget
     for tol in (1e-17, math.nan):
         with pytest.raises(ValueError, match="tol must be at least"):
@@ -321,7 +320,7 @@ def test_solvers_agree_with_chained_single_steps(two_by_two, size):
 
     k = 5
     u = np.linspace(0.5, 2.0, problem.n_x)
-    plain = solve_untruncated(problem, u1=u, tol=MIN_TOL, max_iter=k)
+    plain = solve_fortet(problem, u1=u, tol=MIN_TOL, max_iter=k)
     assert plain.status == "max-iter"
     for _ in range(k):
         u = phi(problem, u)
@@ -368,8 +367,7 @@ def test_loop_stops_where_the_single_steps_say(name):
     problem = validate_reduction(build_dense_problem(P, mu, nu))
     tol, u1 = 1e-10, np.full(2, start)
     U = u1 if clamp else None
-    result = (solve_fortet(problem, U=U, tol=tol, trace=True) if clamp
-              else solve_untruncated(problem, u1=u1, tol=tol, trace=True))
+    result = solve_fortet(problem, tol=tol, trace=True, **({"U": U} if clamp else {"u1": u1}))
     assert (result.status, result.iterations, result.scheme) == (
         status, iterations, "truncated" if clamp else "untruncated")
     us, phis, state = _chained_steps(problem, u1, U, iterations)
@@ -439,7 +437,7 @@ def test_solve_untruncated_degenerate_on_infeasible_support():
     problem = validate_reduction(
         build_dense_problem([[1.0, 1.0], [0.0, 1.0]], [0.5, 0.5], [0.9, 0.1])
     )
-    result = solve_untruncated(problem, max_iter=5000)
+    result = solve_fortet(problem, max_iter=5000)
     assert result.status == STATUS_DEGENERATE
 
 
@@ -447,19 +445,20 @@ def test_solve_untruncated_vanishing_phi_is_degenerate_at_once():
     # an unreduced problem whose second row misses every y point: phi(u_1)
     # has a zero, which ends the run before it steps from a zero potential
     problem = build_dense_problem([[1.0, 1.0], [0.0, 0.0]], [0.5, 0.5], [0.5, 0.5])
-    result = solve_untruncated(problem)
+    result = solve_fortet(problem)
     assert result.status == STATUS_DEGENERATE and result.iterations == 0
 
 
 def test_solve_untruncated_constant_kernel(constant_kernel):
-    result = solve_untruncated(constant_kernel)
+    result = solve_fortet(constant_kernel)
     assert result.status == STATUS_CONVERGED
     assert np.array_equal(result.u_star, [1.0, 1.0])
 
 
 def test_solve_untruncated_matches_truncated_up_to_scale(two_by_two):
-    trunc = solve_fortet(two_by_two, tol=1e-13)
-    plain = solve_untruncated(two_by_two, tol=1e-13)
+    trunc = solve_fortet(two_by_two, U=np.ones(2), tol=1e-13)
+    plain = solve_fortet(two_by_two, tol=1e-13)
+    assert (trunc.scheme, plain.scheme) == ("truncated", "untruncated")
     assert plain.status == STATUS_CONVERGED
     ratio = plain.u_star / trunc.u_star
     assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-10
@@ -467,7 +466,7 @@ def test_solve_untruncated_matches_truncated_up_to_scale(two_by_two):
 
 def test_solve_untruncated_divergent():
     problem = build_dense_problem([[1e250]], [1.0], [1.0])
-    result = solve_untruncated(problem, u1=np.array([1e-60]))
+    result = solve_fortet(problem, u1=np.array([1e-60]))
     assert result.status == STATUS_DIVERGENT
 
 
@@ -866,7 +865,7 @@ def _count_ext_matvec(monkeypatch):
 
 def test_solve_untruncated_finite_start_skips_extnum_path(two_by_two, monkeypatch):
     calls = _count_ext_matvec(monkeypatch)
-    assert solve_untruncated(two_by_two, u1=np.array([0.5, 2.0])).status == STATUS_CONVERGED
+    assert solve_fortet(two_by_two, u1=np.array([0.5, 2.0])).status == STATUS_CONVERGED
     assert calls == []
 
 
@@ -878,7 +877,12 @@ def test_solve_untruncated_finite_start_skips_extnum_path(two_by_two, monkeypatc
 def test_solve_untruncated_rejects_start_off_the_positive_reals(two_by_two, u1):
     # 0 and INF belong to the boundary maps, never to an iterate
     with pytest.raises(ValueError):
-        solve_untruncated(two_by_two, u1=np.array(u1))
+        solve_fortet(two_by_two, u1=np.array(u1))
+
+
+def test_solve_fortet_takes_a_ceiling_or_a_start_not_both(two_by_two):
+    with pytest.raises(ValueError, match="not both"):
+        solve_fortet(two_by_two, U=np.ones(2), u1=np.ones(2))
 
 
 @pytest.mark.parametrize(
@@ -893,7 +897,7 @@ def test_divergent_plain_iteration_reports_through_overflow_guard(P, u1):
     with pytest.raises(ExtOverflowError):
         _dual_step(problem)(np.array([u1]))
     for result in (
-        solve_untruncated(problem, u1=np.array([u1])),
+        solve_fortet(problem, u1=np.array([u1])),
         solve_fortet(problem, U=np.array([u1])),
     ):
         assert result.status == STATUS_DIVERGENT
@@ -1047,7 +1051,7 @@ def test_solvers_take_the_scalar_guards(gaussian_801, hard_gaussian_2d, monkeypa
     gauss, _ = gaussian_801
     hard, ceiling = hard_gaussian_2d
     assert solve_fortet(gauss).status == STATUS_CONVERGED
-    assert solve_untruncated(gauss).status == STATUS_CONVERGED
+    assert solve_fortet(gauss, u1=np.ones(gauss.n_x)).status == STATUS_CONVERGED
     assert solve_fortet(hard, U=ceiling, tol=1e-5, max_iter=30_000).status == STATUS_CONVERGED
     for problem in randoms:
         assert solve_fortet(problem).status == STATUS_CONVERGED
@@ -1081,7 +1085,7 @@ def _assert_default_is_the_plain_run(problem, **options):
     """The default run is the plain scheme's bit for bit, trace included,
     however it ends; returns it."""
     default = solve_fortet(problem, trace=True, **options)
-    plain = solve_untruncated(problem, trace=True, **options)
+    plain = solve_fortet(problem, u1=np.ones(problem.n_x), trace=True, **options)
     assert default.scheme == "untruncated"
     assert (default.status, default.iterations) == (plain.status, plain.iterations)
     assert np.array_equal(default.u_star, plain.u_star)
