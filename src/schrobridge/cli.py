@@ -258,7 +258,7 @@ def _fill_solution(payload: dict, sol: ft.SchrodingerSolution) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if args.moment_r is not None and not args.moment_U:
+    if args.moment_r is not None and args.moment_U is None:
         raise ValidationError("--moment-r applies only with --moment-U")
     if args.format == "json":
         obj = _read_json(args.input)
@@ -269,7 +269,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         problem = _load_validated(args)
     domination = None
-    if args.domination_witness:
+    if args.domination_witness is not None:
         path = args.domination_witness
         w = _read_json(path)
         if not (isinstance(w, dict) and {"K", "x", "c"} <= w.keys()):
@@ -278,7 +278,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             domination = crit.check_compact_domination(problem, w["K"], w["x"], w["c"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: bad witness: {exc}") from exc
-    moment_U = _load_ceiling(args.moment_U, problem) if args.moment_U else None
+    moment_U = _load_ceiling(args.moment_U, problem) if args.moment_U is not None else None
     report = crit.full_report(
         problem, finite_guard=args.finite_guard, moment_U=moment_U,
         moment_r=2.0 if args.moment_r is None else args.moment_r,
@@ -299,7 +299,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def _check_gaussian(args: argparse.Namespace, gp: gs.GaussianProblem, pts: int,
                     problem: DiscreteProblem) -> int:
-    if args.moment_U or args.domination_witness:
+    if args.moment_U is not None or args.domination_witness is not None:
         raise ValidationError("--moment-U and --domination-witness need a problem file, "
                               "not a gaussian triple")
     mc = gs.matrix_criterion(gp)

@@ -35,6 +35,11 @@ class ExtOverflowError(ArithmeticError):
     """A finite extended-real computation exceeded OVERFLOW_LIMIT."""
 
 
+# the messages of the two guards, shared with the solvers' dual step
+_INVERSE_OVERFLOW = "scaled inversion exceeded the overflow guard"
+_MATVEC_OVERFLOW = "extended matvec overflowed"
+
+
 def as_ext_array(x, allow_inf: bool = True) -> np.ndarray:
     """Coerce to a float64 array of extended nonnegative reals.
 
@@ -64,7 +69,7 @@ def scaled_inverse(f: np.ndarray, s: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         out = np.where(f > 0.0, f / s, 0.0)
     if np.max(out, where=s > 0.0, initial=0.0) > OVERFLOW_LIMIT:
-        raise ExtOverflowError("scaled inversion exceeded the overflow guard")
+        raise ExtOverflowError(_INVERSE_OVERFLOW)
     return out
 
 
@@ -81,6 +86,6 @@ def ext_matvec(matrix: np.ndarray, w: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore"):
         out = matrix @ np.where(infm, 0.0, w)
     if np.max(out, initial=0.0) > OVERFLOW_LIMIT:
-        raise ExtOverflowError("extended matvec overflowed")
+        raise ExtOverflowError(_MATVEC_OVERFLOW)
     out[(matrix[:, infm] > 0.0).any(axis=1)] = INF
     return out

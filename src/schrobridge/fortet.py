@@ -19,12 +19,11 @@ from a given ceiling and the second otherwise.  Either scheme starts from a
 finite, strictly positive vector, checked once at entry; ends
 converged-positive, degenerate-zero, max-iter, or divergent (a step past
 the overflow guard); and rejects ``tol`` below ``MIN_TOL``.  Inside the
-loop a step runs as two bare BLAS matvecs when scalar bounds on the
-kernel and the iterate rule out every overflow guard and a vanishing
-``psi``, and as the public ``psi`` and ``phi`` otherwise (see
-``_dual_step``).  A Sinkhorn solver stabilized by absorption is included
-as an independent baseline, plus the kernel twisting transform
-``p -> alpha(x) beta(y) p`` under which the coupling is invariant.
+loop a step is two BLAS matvecs that guard the vectors they hold as the
+public ``psi`` and ``phi`` do (see ``_dual_step``).  A Sinkhorn solver
+stabilized by absorption is included as an independent baseline, plus
+the kernel twisting transform ``p -> alpha(x) beta(y) p`` under which the
+coupling is invariant.
 
 All maps are pure with respect to the problem; sums inside a map may be
 evaluated in parallel over the output index, while the solver loops are
@@ -39,6 +38,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extnum import (
+    _INVERSE_OVERFLOW,
+    _MATVEC_OVERFLOW,
     ExtOverflowError,
     INF,
     OVERFLOW_LIMIT,
@@ -162,44 +163,29 @@ def _dual_step(problem: DiscreteProblem):
 
     Both schemes call this instead of :func:`psi` and :func:`phi`: their
     potentials are checked finite and strictly positive once, at entry.
-    When scalar bounds rule out the four overflow guards and a vanishing
-    ``psi``, a step is two divisions and two BLAS matvecs; otherwise it is
-    :func:`psi` and :func:`phi` themselves, which run every check and
-    raise each error.  The bounds are taken once per kernel (the largest
-    column sum ``C`` and row sum ``R`` of ``P``, its smallest column peak
-    ``p = min_j max_i P_ij``, and the extremes of ``mu`` and ``nu``) and
-    per step (``lo = min u``, ``hi = max u``):
-
-    * ``mu/u <= fl(max mu / lo)`` and ``nu/psi <= fl(max nu / psi_lo)``,
-      as correctly rounded division is monotone;
-    * ``psi <= 2 C max(mu/u)`` and ``phi <= 2 R max(nu/psi)``, as a
-      rounded sum of nonnegative terms is within ``1 + gamma_n`` of the
-      exact one (Higham 2002, section 4.2);
-    * ``psi >= psi_lo = fl(p fl(min mu / hi))``, as such a sum is at least
-      its largest rounded term.
-
-    ``2 C`` and ``2 R`` are clamped to at least 1, so each bound also
-    bounds its own quotient.  The fast path computes what the public maps
-    compute when no check trips, so the iterates are bitwise theirs.
+    A step is two divisions and two BLAS matvecs, and it guards each
+    vector it holds as the public maps do, in their order and with their
+    errors: ``mu/u`` and ``psi`` above ``OVERFLOW_LIMIT``, a ``psi`` that
+    vanishes somewhere, then ``nu/psi`` and ``phi`` above the limit.  On
+    a finite, strictly positive ``u`` the public maps compute the same
+    values, so the iterates are bitwise theirs.
     """
     P = kernel_matrix(problem)
     PT = P.T
     mu = problem.mu.weights
     nu = problem.nu.weights
-    bound_x = max(1.0, 2.0 * float(np.max(P.sum(axis=0))))  # psi <= bound_x * max(mu/u)
-    bound_y = max(1.0, 2.0 * float(np.max(P.sum(axis=1))))  # phi <= bound_y * max(nu/psi)
-    col_peak = float(np.min(P.max(axis=0)))
-    mu_max, mu_min, nu_max = float(np.max(mu)), float(np.min(mu)), float(np.max(nu))
-    lowest, highest = np.minimum.reduce, np.maximum.reduce
 
+    def guard(v: np.ndarray, message: str) -> np.ndarray:
+        if np.maximum.reduce(v) > OVERFLOW_LIMIT:
+            raise ExtOverflowError(message)
+        return v
+
+    @np.errstate(over="ignore")  # an overflow reads inf and trips its guard
     def step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ps_lo = col_peak * (mu_min / float(highest(u)))
-        if (ps_lo > 0.0 and bound_x * (mu_max / float(lowest(u))) <= OVERFLOW_LIMIT
-                and bound_y * (nu_max / ps_lo) <= OVERFLOW_LIMIT):
-            ps = PT @ (mu / u)
-            return ps, P @ (nu / ps)
-        ps = psi(problem, u)
-        return ps, phi(problem, u, psi_u=ps)
+        ps = guard(PT @ guard(mu / u, _INVERSE_OVERFLOW), _MATVEC_OVERFLOW)
+        if not np.minimum.reduce(ps) > 0.0:
+            raise NonFiniteIntermediate(_VANISHED_DUAL)
+        return ps, guard(P @ guard(nu / ps, _INVERSE_OVERFLOW), _MATVEC_OVERFLOW)
 
     return step
 

@@ -495,6 +495,18 @@ def test_bad_vector_inputs_exit_one(tmp_path, two_by_two_file, capsys, args, con
 
 @pytest.mark.parametrize(
     "args",
+    [["--moment-U", ""], ["--domination-witness", ""], ["--moment-U", "", "--moment-r", "3"]],
+    ids=["moment-U", "witness", "moment-U-with-r"],
+)
+def test_empty_check_path_is_an_os_error(two_by_two_file, capsys, args):
+    # an empty path is a path that cannot be opened, as with solve --U ""
+    assert main(["check", "--input", two_by_two_file, *args]) == 1
+    err = _one_error_line(capsys)
+    assert "No such file or directory" in err
+
+
+@pytest.mark.parametrize(
+    "args",
     [["solve", "--input", "{problem}", "--U", "{bad}"],
      ["check", "--input", "{problem}", "--domination-witness", "{bad}"],
      ["report", "--input", "{bad}"]],

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -296,17 +297,22 @@ def test_solvers_reject_tol_below_machine_precision(two_by_two):
     assert sinkhorn_baseline(two_by_two, tol=MIN_TOL).marginal_err_y <= 1e-14
 
 
-@pytest.mark.parametrize("size", [2, 10])
-def test_solvers_agree_with_chained_single_steps(two_by_two, size):
-    # the solvers' loop against the public single-step API, step for step;
-    # the wide random ceiling makes the floor U/n bind
-    if size == 2:
+@pytest.mark.parametrize("case", [2, 10, "massless"])
+def test_solvers_agree_with_chained_single_steps(two_by_two, case):
+    # the solvers' loop against the public single-step API, iterate for
+    # iterate; the wide random ceiling makes the floor U/n bind, and the
+    # massless x point of an unreduced problem gives mu/u a zero entry
+    k, k_plain = 25, 5
+    if case == 2:
         problem, U = two_by_two, np.ones(2)
-    else:
+    elif case == 10:
         rng = np.random.default_rng(29)
-        problem = random_positive_problem(rng, size, size)
-        U = np.exp(rng.uniform(-3.0, 3.0, size))
-    k = 25
+        problem = random_positive_problem(rng, case, case)
+        U = np.exp(rng.uniform(-3.0, 3.0, case))
+    else:
+        problem = build_dense_problem([[1.0, 2.0], [3.0, 4.0], [5.0, 0.5]],
+                                      [0.5, 0.5, 0.0], [0.3, 0.7])
+        U, k, k_plain = np.ones(3), 9, 7
     result = solve_fortet(problem, U=U, tol=MIN_TOL, max_iter=k, trace=True)
     assert result.status == "max-iter"
     state = SchemeState(n=1, u=U.copy(), ceiling=U)
@@ -314,17 +320,19 @@ def test_solvers_agree_with_chained_single_steps(two_by_two, size):
         assert rec.n == state.n
         assert rec.min_u == np.min(state.u) and rec.max_u == np.max(state.u)
         state = iterate_truncated(state, problem)
+        run = solve_fortet(problem, U=U, tol=MIN_TOL, max_iter=rec.n)
+        assert np.array_equal(run.u_star, state.u)
     assert len(result.trace) == k
     assert np.array_equal(result.u_star, state.u)
     assert result.early_exit_index == state.early_exit_index
 
-    k = 5
-    u = np.linspace(0.5, 2.0, problem.n_x)
-    plain = solve_fortet(problem, u1=u, tol=MIN_TOL, max_iter=k)
-    assert plain.status == "max-iter"
-    for _ in range(k):
+    u1 = np.linspace(0.5, 2.0, problem.n_x)
+    u = u1
+    for n in range(1, k_plain + 1):
         u = phi(problem, u)
-    assert np.array_equal(plain.u_star, u)
+        plain = solve_fortet(problem, u1=u1, tol=MIN_TOL, max_iter=n)
+        assert plain.status == "max-iter"
+        assert np.array_equal(plain.u_star, u)
 
 
 def _chained_steps(problem, u1, U, steps):
@@ -929,7 +937,7 @@ def test_solve_fortet_raises_on_monotonicity_violation(two_by_two, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the dual step's scalar guard bounds against the vector checks
+# the dual step's guards against the public maps' vector checks
 # ---------------------------------------------------------------------------
 
 
@@ -946,11 +954,13 @@ def _guarded_chain(problem, u):
 
 
 def _outcome(step, u):
-    # no errstate: a step that warns fails under error::RuntimeWarning
-    try:
-        return step(u)
-    except (ExtOverflowError, NonFiniteIntermediate) as exc:
-        return type(exc), str(exc)
+    # no errstate: a step that warns fails, whatever the -W options
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return step(u)
+        except (ExtOverflowError, NonFiniteIntermediate) as exc:
+            return type(exc), str(exc)
 
 
 def _straddling(problem, u, guard, ratio):
@@ -1037,10 +1047,10 @@ def hard_gaussian_2d():
     return problem, phi(problem, np.ones(problem.n_x))
 
 
-def test_solvers_take_the_scalar_guards(gaussian_801, hard_gaussian_2d, monkeypatch):
-    # a fallback step fails the solve, so the bounds must rule out every trip
+def test_solvers_never_call_the_public_maps(gaussian_801, hard_gaussian_2d, monkeypatch):
+    # the loop steps through _dual_step alone: a call to psi or phi fails the solve
     def refuse(*args, **kwargs):
-        raise AssertionError("a step fell back to psi/phi")
+        raise AssertionError("a step called psi/phi")
 
     rng = np.random.default_rng(2026)
     randoms = [random_positive_problem(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)))
