@@ -103,17 +103,14 @@ def _dumps(obj, level: int = 0) -> str:
 
     Numpy arrays and scalars are written as lists and numbers, and
     infinite and NaN floats as the strings "inf" and "nan".  A nonempty
-    float array with only finite entries is written straight from
+    1-D float array with only finite entries is written straight from
     ``float.__repr__``, as the json encoder writes floats, with one
     ``isfinite`` check per array instead of one per element.
     """
     pad = "\n" + "  " * (level + 1)
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim and obj.size and np.isfinite(obj).all():
-            if obj.ndim == 1:
-                items = map(float.__repr__, obj.tolist())
-            else:
-                items = (_dumps(row, level + 1) for row in obj)
+        if obj.dtype.kind == "f" and obj.ndim == 1 and obj.size and np.isfinite(obj).all():
+            items = map(float.__repr__, obj.tolist())
             return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
         obj = obj.tolist()
     if isinstance(obj, (float, np.floating)):
@@ -278,12 +275,14 @@ def cmd_check(args: argparse.Namespace) -> int:
             domination = crit.check_compact_domination(problem, w["K"], w["x"], w["c"])
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"{path}: bad witness: {exc}") from exc
-    moment_U = _load_ceiling(args.moment_U, problem) if args.moment_U is not None else None
-    report = crit.full_report(
-        problem, finite_guard=args.finite_guard, moment_U=moment_U,
-        moment_r=2.0 if args.moment_r is None else args.moment_r,
-    )
-    report = replace(report, domination=domination)
+    moment = None
+    if args.moment_U is not None:
+        moment = crit.check_moment_condition(
+            problem, _load_ceiling(args.moment_U, problem),
+            r=2.0 if args.moment_r is None else args.moment_r,
+        )
+    report = replace(crit.full_report(problem, finite_guard=args.finite_guard),
+                     domination=domination, moment=moment)
     # the certificate goes under its own name, and as null when there is none
     sections = asdict(report)
     payload = {"command": "check", "mode": "discrete",

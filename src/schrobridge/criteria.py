@@ -17,10 +17,12 @@ witness or the violating index -- never a bare boolean:
     reaches cannot absorb (Hall's condition), which proves that no
     scaling of a kernel with zero entries has the marginals.
 
-On a finite grid every sum is finite in exact arithmetic, so criterion
-failure shows up either as a structural infinity (a zero denominator) or
-as a numerically enormous value; ``finite`` verdicts compare against a
-configurable divergence guard.
+:func:`full_report` runs all but the domination and moment checks,
+which need a caller's witness or ceiling.  On a finite grid every sum
+is finite in exact arithmetic, so criterion failure shows up either as
+a structural infinity (a zero denominator) or as a numerically
+enormous value; ``finite`` verdicts compare against a configurable
+divergence guard.
 """
 
 from __future__ import annotations
@@ -302,36 +304,21 @@ def check_compact_domination(
     )
 
 
-def suggest_domination_witness(
-    problem: DiscreteProblem,
-    K_indices,
-    candidate_indices=None,
-):
+def suggest_domination_witness(problem: DiscreteProblem, K_indices):
     """Best-effort witness construction: minimal-mass coefficients by LP.
 
-    Base points default to the geometric boundary of K (convex hull
-    vertices; the extreme points in one dimension).  Returns
-    ``(x_indices, coefficients)`` or None when the linear program is
-    infeasible over the candidates.  No completeness guarantee.
+    The candidate base points are the two extreme points of K in one
+    dimension and all of K otherwise; the LP keeps those it needs.
+    Returns ``(x_indices, coefficients)`` or None when the linear program
+    is infeasible over the candidates.  No completeness guarantee.
     """
     from scipy.optimize import linprog
 
     K_indices = [int(i) for i in K_indices]
-    if candidate_indices is None:
-        pts = problem.x_space.points[K_indices]
-        if pts.shape[1] == 1 or len(K_indices) < 4:
-            order = np.argsort(pts[:, 0])
-            cand = sorted({K_indices[order[0]], K_indices[order[-1]]})
-        else:
-            try:
-                from scipy.spatial import ConvexHull
-
-                hull = ConvexHull(pts)
-                cand = sorted({K_indices[v] for v in hull.vertices})
-            except Exception:
-                cand = list(K_indices)
-    else:
-        cand = [int(i) for i in candidate_indices]
+    cand = K_indices
+    if problem.x_space.dim == 1:
+        order = np.argsort(problem.x_space.points[K_indices, 0])
+        cand = sorted({K_indices[order[0]], K_indices[order[-1]]})
 
     P = kernel_matrix(problem)
     target = P[K_indices, :].max(axis=0)
@@ -587,39 +574,26 @@ def _verified_certificate(support: np.ndarray, mu: np.ndarray, nu: np.ndarray,
     )
 
 
-def full_report(
-    problem: DiscreteProblem,
-    finite_guard: float = DIVERGENCE_GUARD,
-    domination_witness: tuple | None = None,
-    moment_U: np.ndarray | None = None,
-    moment_r: float = 2.0,
-) -> CriteriaReport:
-    """Assemble the full criteria report for a problem.
+def full_report(problem: DiscreteProblem, finite_guard: float = DIVERGENCE_GUARD) -> CriteriaReport:
+    """Assemble the criteria every problem gets.
 
     The scaling certificate is always sought (see
-    :func:`scaling_certificate`).  The domination and moment conditions
-    are evaluated only when the caller supplies a witness (a
-    ``(K_indices, x_indices, coefficients)`` triple) or a ceiling; on a
-    finite grid both are vacuously satisfiable and carry no information
-    unless the witness is meaningful.  The radial check runs
-    automatically for radial-kind kernels, on 512 samples of the profile
-    and 101 candidate cutoffs up to the largest distance on the grid; a
-    profile that underflows to 0 there fails it, with no cutoff found.
+    :func:`scaling_certificate`).  The radial check runs automatically for
+    radial-kind kernels, on 512 samples of the profile and 101 candidate
+    cutoffs up to the largest distance on the grid; a profile that
+    underflows to 0 there fails it, with no cutoff found.  ``domination``
+    and ``moment`` stay None; a caller with a witness or a ceiling adds
+    them with ``dataclasses.replace``.
     """
     P = kernel_matrix(problem)
-    report_kwargs = {}
-    if domination_witness is not None:
-        K_idx, x_idx, coeffs = domination_witness
-        report_kwargs["domination"] = check_compact_domination(problem, K_idx, x_idx, coeffs)
-    if moment_U is not None:
-        report_kwargs["moment"] = check_moment_condition(problem, moment_U, r=moment_r)
+    radial = None
     if isinstance(problem.kernel, RadialKernel):
         diffs = problem.x_space.points[:, None, :] - problem.y_space.points[None, :, :]
         t_max = float(np.sqrt((diffs * diffs).sum(axis=2)).max())
         t = np.linspace(0.0, max(t_max, 1.0), 512)
         with np.errstate(all="ignore"):
             theta = np.asarray(problem.kernel.profile(t), dtype=float)
-        report_kwargs["radial"] = (
+        radial = (
             check_radial(t, theta, np.linspace(0.0, max(t_max, 1.0), 101))
             if (theta > 0).all() else RadialResult(holds=False, L_found=None)
         )
@@ -629,7 +603,7 @@ def full_report(
         sup_kernel=float(P.max()),
         integral=check_integral_criterion(problem, finite_guard),
         scaling=scaling_certificate(problem),
-        **report_kwargs,
+        radial=radial,
     )
 
 

@@ -402,6 +402,31 @@ def test_overflowing_ceiling_reports_divergent_exit_two(tmp_path, two_by_two_fil
     assert "overflow guard" in _one_error_line(capsys)
 
 
+def test_ceiling_above_the_overflow_guard_reports_divergent_exit_two(tmp_path, two_by_two_file):
+    # each step passes its guards; the iterate itself stays above OVERFLOW_LIMIT
+    upath = tmp_path / "U.json"
+    upath.write_text("[1e305, 1.0]")
+    out = tmp_path / "sol.json"
+    code = main(["solve", "--input", two_by_two_file, "--U", str(upath), "--max-iter", "10",
+                 "--output", str(out)])
+    assert code == 2
+    assert read(out)["status"] == "divergent"
+    assert read(out)["iterations"] == 10
+
+
+def test_gaussian_kernel_whose_constant_overflows_exit_one(tmp_path, capsys):
+    # a 3-D precision 1e300 I: the log of the density's constant is about 1033
+    point = [[0.0, 0.0, 0.0]]
+    doc = {"x_space": {"points": point, "weights": [1.0]},
+           "y_space": {"points": point, "weights": [1.0]}, "mu": [1.0], "nu": [1.0],
+           "kernel": {"kind": "gaussian", "c": (1e300 * np.eye(3)).tolist()}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main(["solve", "--input", str(path), "--output", str(tmp_path / "s.json")]) == 1
+    assert "kernel evaluation produced non-finite entries" in _one_error_line(capsys)
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_moment_ceiling_on_a_base_row_with_zeros_is_infinite(tmp_path, capsys):
     # row x_o = 0 of the kernel vanishes in column 1, which row 1 reaches with mass
     path = tmp_path / "p.json"
@@ -430,6 +455,9 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["solve", "--U", "{file}"], '["a", 1.0]'),
         (["check", "--moment-U", "{file}"], "[0.0, 1.0]"),
         (["check", "--moment-U", "{file}"], '["a", 1.0]'),
+        # one entry per x point of the 2x2 problem
+        (["solve", "--U", "{file}"], "[1.0, 1.0, 1.0]"),
+        (["check", "--moment-U", "{file}"], "[1.0, 1.0, 1.0]"),
         (["check", "--domination-witness", "{file}"], '{"K": [0], "c": [1.0]}'),
         (["check", "--moment-r", "0.5"], None),
         # options the chosen path would not read
@@ -467,6 +495,7 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["check", "--input", "{file}"], '{"a": "1.0", "b": true, "c": 1.0}'),
     ],
     ids=["U-zero", "U-nan", "U-string", "moment-U-zero", "moment-U-string",
+         "U-wrong-length", "moment-U-wrong-length",
          "witness-without-x", "moment-r-half", "U-sinkhorn", "trace-sinkhorn",
          "moment-U-gaussian", "witness-gaussian", "witness-index-past-end",
          "witness-index-negative", "witness-coefficient-negative", "witness-index-fraction",

@@ -219,6 +219,21 @@ def test_domination_gaussian_witness_from_boundary():
     assert res.continuity == "declared-by-kernel-kind"
 
 
+@pytest.mark.parametrize("points, a", [(15, [1.0, 1.0]), (31, [1.0, 1.0]), (31, [0.5, 2.0])],
+                         ids=["15", "31", "31-anisotropic"])
+def test_domination_witness_on_a_2d_gaussian_grid(points, a):
+    # in d >= 2 every point of K is a candidate base point
+    gp = GaussianProblem(a=np.diag(a), b=np.eye(2), c=np.eye(2))
+    problem = validate_reduction(discretize_gaussian(gp, points_per_dim=points))
+    K = np.flatnonzero(np.hypot(*problem.x_space.points.T) <= 1.0).tolist()
+    assert len(K) > 4
+    witness = suggest_domination_witness(problem, K_indices=K)
+    assert witness is not None
+    x_idx, coeffs = witness
+    assert set(x_idx) <= set(K)
+    assert check_compact_domination(problem, K, x_idx, coeffs).holds
+
+
 def test_domination_input_validation(two_by_two):
     with pytest.raises(ValueError):
         check_compact_domination(two_by_two, [], [0], [1.0])
@@ -366,10 +381,10 @@ def test_full_report_radial_kernel(gaussian_1d_small):
 
 
 def test_full_report_with_witnesses(two_by_two):
-    report = full_report(
-        two_by_two,
-        domination_witness=([0, 1], [1], [2.0]),
-        moment_U=np.ones(2),
+    report = replace(
+        full_report(two_by_two),
+        domination=check_compact_domination(two_by_two, [0, 1], [1], [2.0]),
+        moment=check_moment_condition(two_by_two, np.ones(2)),
     )
     assert report.domination is not None and report.domination.holds
     assert report.moment is not None and report.moment.holds
@@ -524,17 +539,17 @@ def test_certificate_passes_an_underflowed_gaussian_kernel():
 def test_each_supplied_criterion_suffices_alone(two_by_two, criterion):
     # a guard below both integral values (about 0.42 and 0.48 on the 2x2,
     # 1.9 on the radial grid) leaves the integral criterion out
-    problem, kwargs = two_by_two, {}
+    problem, sections = two_by_two, {}
     if criterion == "domination":
-        kwargs["domination_witness"] = ([0], [1], [1.0])
+        sections["domination"] = check_compact_domination(problem, [0], [1], [1.0])
     elif criterion == "moment":
-        kwargs["moment_U"] = np.ones(2)
+        sections["moment"] = check_moment_condition(problem, np.ones(2))
     else:
         pts = np.linspace(-1.0, 1.0, 5)
         problem = DiscreteProblem(DiscreteSpace(pts, np.ones(5)), DiscreteSpace(pts, np.ones(5)),
                                   Marginal(np.full(5, 0.2)), Marginal(np.full(5, 0.2)),
                                   make_radial_kernel("exponential", rate=1.0))
-    report = full_report(problem, finite_guard=0.1, **kwargs)
+    report = replace(full_report(problem, finite_guard=0.1), **sections)
     assert not report.integral.xy.finite and not report.integral.yx.finite
     assert getattr(report, criterion).holds
     assert sufficient_for_existence(report)

@@ -145,6 +145,14 @@ def test_radial_profile_negative_raises():
         kernel_matrix(problem)
 
 
+def test_gaussian_kernel_whose_constant_overflows_raises():
+    # log of the constant of a 3-D precision 1e300 I is about 1033
+    grid = np.zeros((1, 3))
+    problem = _functional_problem(GaussianKernel(1e300 * np.eye(3)), grid, grid)
+    with pytest.raises(EvaluationError, match="non-finite entries"):
+        kernel_matrix(problem)
+
+
 def test_json_roundtrip_bit_exact(tmp_path, two_by_two):
     path = tmp_path / "p.json"
     save_problem(two_by_two, str(path))
