@@ -33,9 +33,11 @@ degenerate, divergent or failed solve: a
 divergent run (a step past the overflow guard, under either scheme) is
 written as a report with status "divergent", and a solver error (a
 vanishing or non-finite dual, a violated monotone decrease, a Sinkhorn
-run refused on a kernel with a zero entry, or a ``check --moment-U``
-ceiling small enough to pass the overflow guard) as one ``error:``
-line on stderr; 3 iteration budget exhausted; 4 none of the paper's
+run refused on a kernel with a zero entry, a ``check --moment-U``
+ceiling small enough to pass the overflow guard, or any other
+``ArithmeticError``, such as the rounding guard of the Gaussian matrix
+criterion on an ill-conditioned triple) as one ``error:`` line on
+stderr; 3 iteration budget exhausted; 4 none of the paper's
 sufficient criteria holds (``criteria.sufficient_for_existence``); 5
 compare gap above tolerance.  Each of those criteria needs a strictly
 positive kernel, so a ``check`` of a problem file whose kernel has a
@@ -62,8 +64,6 @@ CSV headed by the field names of ``fortet.TraceRecord``.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import sys
 from dataclasses import asdict, astuple, fields, replace
 
@@ -72,16 +72,18 @@ import numpy as np
 from . import criteria as crit
 from . import fortet as ft
 from . import gaussian as gs
-from .extnum import ExtOverflowError
 from .problem import (
     DiscreteProblem,
     EvaluationError,
     ParseError,
     SchemaError,
     ValidationError,
+    _dumps,
     _number_array,
     _read_json,
     _write_csv,
+    _write_report,
+    _write_text,
     load_problem,
     problem_from_dict,
     problem_to_dict,
@@ -97,63 +99,13 @@ EXIT_GAP = 5
 
 TRACE_HEADER = [f.name for f in fields(ft.TraceRecord)]
 
-
-def _dumps(obj, level: int = 0) -> str:
-    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, nested ``level`` deep.
-
-    Numpy arrays and scalars are written as lists and numbers, and
-    infinite and NaN floats as the strings "inf" and "nan".  A nonempty
-    1-D float array with only finite entries is written straight from
-    ``float.__repr__``, as the json encoder writes floats, with one
-    ``isfinite`` check per array instead of one per element.
-    """
-    pad = "\n" + "  " * (level + 1)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and obj.ndim == 1 and obj.size and np.isfinite(obj).all():
-            items = map(float.__repr__, obj.tolist())
-            return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
-        obj = obj.tolist()
-    if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        return float.__repr__(f) if math.isfinite(f) else '"nan"' if math.isnan(f) else '"inf"'
-    if isinstance(obj, np.integer):
-        return str(int(obj))
-    # generators, not lists: an item (a large array of a report) is freed
-    # once joined, not held through the copies of the concatenation
-    if isinstance(obj, dict):
-        brackets = "{}"
-        items = (f"{json.dumps(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj))
-    elif isinstance(obj, (list, tuple)):
-        brackets = "[]"
-        items = (_dumps(v, level + 1) for v in obj)
-    else:  # str, int, bool and None; json raises TypeError on anything else
-        return json.dumps(obj)
-    if not obj:
-        return brackets
-    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
-
-
-def _write_report(payload: dict, path: str | None) -> None:
-    _write_text(_dumps(payload) + "\n", path)
-
-
-def _write_text(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+#: the exit code of each status a ``solve`` report can carry
+_SOLVE_EXIT = {ft.STATUS_CONVERGED: EXIT_OK, ft.STATUS_MAX_ITER: EXIT_MAX_ITER,
+               ft.STATUS_DEGENERATE: EXIT_DEGENERATE, ft.STATUS_DIVERGENT: EXIT_DEGENERATE}
 
 
 def _load_validated(args: argparse.Namespace) -> DiscreteProblem:
     return validate_reduction(load_problem(args.input, format=args.format))
-
-
-def _refuse_without_scaling(problem: DiscreteProblem) -> None:
-    """Raise :class:`criteria.NoScaling` when a verified certificate shows no scaling exists."""
-    certificate = crit.scaling_certificate(problem)
-    if certificate is not None:
-        raise crit.NoScaling(certificate)
 
 
 def _load_ceiling(path: str, problem: DiscreteProblem) -> np.ndarray:
@@ -187,71 +139,52 @@ def _discretize(args: argparse.Namespace, obj):
     return gp, pts, problem
 
 
+def _run_fortet(args: argparse.Namespace, problem: DiscreteProblem,
+                trace: bool = False) -> ft.FixedPointResult:
+    """``solve_fortet`` with the ``--U``, ``--tol`` and ``--max-iter`` of ``args``.
+
+    A verified certificate that no scaling exists raises
+    :class:`criteria.NoScaling` first, before the ceiling file is read.
+    """
+    certificate = crit.scaling_certificate(problem)
+    if certificate is not None:
+        raise crit.NoScaling(certificate)
+    U = None if args.U is None else _load_ceiling(args.U, problem)
+    return ft.solve_fortet(problem, U=U, tol=args.tol, max_iter=args.max_iter, trace=trace)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     if args.scheme == "sinkhorn" and (args.U is not None or args.trace):
         raise ValidationError("--U and --trace apply to --scheme fortet only, not sinkhorn")
     problem = _load_validated(args)
     payload: dict = {"command": "solve", "scheme": args.scheme}
-
+    sol = None
     if args.scheme == "sinkhorn":
         try:
             sol = ft.sinkhorn_baseline(problem, tol=args.tol, max_iter=args.max_iter)
         except ft.MaxIterExceeded:
-            payload.update({"status": ft.STATUS_MAX_ITER})
-            _write_report(payload, args.output)
-            return EXIT_MAX_ITER
+            payload["status"] = ft.STATUS_MAX_ITER
         except ValueError as exc:  # a kernel with a zero entry, or scalings out of float range
             sys.stderr.write(f"error: {exc}\n")
             return EXIT_DEGENERATE
-        payload.update({"status": ft.STATUS_CONVERGED, "iterations": None, "residual": None})
-        _fill_solution(payload, sol)
-        _write_report(payload, args.output)
-        return EXIT_OK
-
-    _refuse_without_scaling(problem)
-    result = ft.solve_fortet(
-        problem,
-        U=None if args.U is None else _load_ceiling(args.U, problem),
-        tol=args.tol,
-        max_iter=args.max_iter,
-        trace=args.trace,
-    )
-
-    payload.update(
-        {
-            "scheme": result.scheme,
-            "status": result.status,
-            "iterations": result.iterations,
-            "residual": result.residual,
-            "early_exit_index": result.early_exit_index,
-        }
-    )
-    if args.trace:
-        payload["trace"] = [asdict(rec) for rec in result.trace]
-        if args.output:
-            _write_csv(args.output + ".trace.csv", [TRACE_HEADER, *map(astuple, result.trace)])
-    if result.status == ft.STATUS_CONVERGED:
-        sol = ft.extract_solution(problem, result.u_star, psi_star=result.psi_star)
-        _fill_solution(payload, sol)
-        payload["u_star"] = result.u_star
+        else:
+            payload.update({"status": ft.STATUS_CONVERGED, "iterations": None, "residual": None})
+    else:
+        result = _run_fortet(args, problem, trace=args.trace)
+        payload.update(scheme=result.scheme, status=result.status, iterations=result.iterations,
+                       residual=result.residual, early_exit_index=result.early_exit_index)
+        if args.trace:
+            payload["trace"] = [asdict(rec) for rec in result.trace]
+            if args.output:
+                _write_csv(args.output + ".trace.csv", [TRACE_HEADER, *map(astuple, result.trace)])
+        if result.status == ft.STATUS_CONVERGED:
+            sol = ft.extract_solution(problem, result.u_star, psi_star=result.psi_star)
+            payload["u_star"] = result.u_star
+    if sol is not None:
+        payload.update(a=sol.a, b=sol.b, marginal_err_x=sol.marginal_err_x,
+                       marginal_err_y=sol.marginal_err_y, rel_entropy=sol.rel_entropy)
     _write_report(payload, args.output)
-    if result.status == ft.STATUS_CONVERGED:
-        return EXIT_OK
-    if result.status == ft.STATUS_MAX_ITER:
-        return EXIT_MAX_ITER
-    return EXIT_DEGENERATE
-
-
-def _fill_solution(payload: dict, sol: ft.SchrodingerSolution) -> None:
-    payload.update(
-        {
-            "a": sol.a,
-            "b": sol.b,
-            "marginal_err_x": sol.marginal_err_x,
-            "marginal_err_y": sol.marginal_err_y,
-            "rel_entropy": sol.rel_entropy,
-        }
-    )
+    return _SOLVE_EXIT[payload["status"]]
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -290,10 +223,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                **{key: value for key, value in sections.items() if value is not None}}
     if report.moment is not None:
         payload["moment"]["U_source"] = args.moment_U
-    _print_criteria_table(payload)
-    if args.output:
-        _write_report(payload, args.output)
-    return EXIT_OK if crit.sufficient_for_existence(report) else EXIT_NO_CRITERION
+    return _finish_check(args, payload, crit.sufficient_for_existence(report))
 
 
 def _check_gaussian(args: argparse.Namespace, gp: gs.GaussianProblem, pts: int,
@@ -312,14 +242,14 @@ def _check_gaussian(args: argparse.Namespace, gp: gs.GaussianProblem, pts: int,
         "discretization": {"points_per_dim": pts, "half_width_sigmas": args.half_width_sigmas},
         "integral": asdict(integral),
     }
-    ok = mc.xy_holds or mc.yx_holds or integral.xy.finite or integral.yx.finite
-    _print_criteria_table(payload)
-    if args.output:
-        _write_report(payload, args.output)
-    return EXIT_OK if ok else EXIT_NO_CRITERION
+    return _finish_check(
+        args, payload, mc.xy_holds or mc.yx_holds or integral.xy.finite or integral.yx.finite
+    )
 
 
-def _print_criteria_table(payload: dict) -> None:
+def _finish_check(args: argparse.Namespace, payload: dict, holds: bool) -> int:
+    """Print the criteria table, write the report to ``--output`` if given, and
+    exit 0 when some criterion ``holds``, 4 otherwise."""
     rows: list[tuple[str, str, str]] = []
     if "positivity" in payload:
         rows.append(("positivity", "holds" if payload["positivity"] else "fails", ""))
@@ -357,6 +287,9 @@ def _print_criteria_table(payload: dict) -> None:
     for name, verdict, note in rows:
         line = f"{name.ljust(width)}  {verdict:<12}{note}".rstrip()
         sys.stdout.write(line + "\n")
+    if args.output:
+        _write_report(payload, args.output)
+    return EXIT_OK if holds else EXIT_NO_CRITERION
 
 
 #: entries of one row block of :func:`_coupling_gap` (512 KiB of floats)
@@ -377,16 +310,13 @@ def _coupling_gap(one: ft.SchrodingerSolution, two: ft.SchrodingerSolution) -> f
 
 def cmd_compare(args: argparse.Namespace) -> int:
     problem = _load_validated(args)
-    _refuse_without_scaling(problem)
-    U = None if args.U is None else _load_ceiling(args.U, problem)
-    result = ft.solve_fortet(problem, U=U, tol=args.tol, max_iter=args.max_iter)
-    failed = result.status != ft.STATUS_CONVERGED
+    result = _run_fortet(args, problem)
     payload: dict = {
         "command": "compare",
         "fortet_status": result.status,
         "fortet_iterations": result.iterations,
     }
-    if failed:
+    if result.status != ft.STATUS_CONVERGED:
         _write_report(payload, args.output)
         return EXIT_DEGENERATE
     try:
@@ -510,7 +440,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, EvaluationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except (ft.NonFiniteIntermediate, ft.MonotonicityViolated, ExtOverflowError) as exc:
+    except (ft.NonFiniteIntermediate, ft.MonotonicityViolated, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DEGENERATE
 

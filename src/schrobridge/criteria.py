@@ -260,6 +260,21 @@ def _as_index(i) -> int:
     return int(i)
 
 
+def _witness(problem: DiscreteProblem, K_indices, x_indices, coefficients):
+    """The witness as tuples of ints and floats; ValueError as
+    :func:`check_compact_domination` states."""
+    K_indices = tuple(_as_index(i) for i in K_indices)
+    x_indices = tuple(_as_index(i) for i in x_indices)
+    coefficients = tuple(_as_real(c) for c in coefficients)
+    if not K_indices or not x_indices or len(x_indices) != len(coefficients):
+        raise ValueError("K nonempty and x_indices/coefficients of equal positive length required")
+    if not all(0 <= i < problem.n_x for i in K_indices + x_indices):
+        raise ValueError(f"indices must lie in [0, {problem.n_x})")
+    if not all(0 < c < math.inf for c in coefficients):
+        raise ValueError("coefficients must be finite and positive")
+    return K_indices, x_indices, coefficients
+
+
 def check_compact_domination(
     problem: DiscreteProblem,
     K_indices,
@@ -277,15 +292,7 @@ def check_compact_domination(
     fractional part), and for a coefficient that is not a finite, positive
     real number.
     """
-    K_indices = tuple(_as_index(i) for i in K_indices)
-    x_indices = tuple(_as_index(i) for i in x_indices)
-    coefficients = tuple(_as_real(c) for c in coefficients)
-    if not K_indices or not x_indices or len(x_indices) != len(coefficients):
-        raise ValueError("K nonempty and x_indices/coefficients of equal positive length required")
-    if not all(0 <= i < problem.n_x for i in K_indices + x_indices):
-        raise ValueError(f"indices must lie in [0, {problem.n_x})")
-    if not all(0 < c < math.inf for c in coefficients):
-        raise ValueError("coefficients must be finite and positive")
+    K_indices, x_indices, coefficients = _witness(problem, K_indices, x_indices, coefficients)
     P = kernel_matrix(problem)
     target = P[list(K_indices), :].max(axis=0)
     bound = np.asarray(coefficients) @ P[list(x_indices), :]
@@ -310,11 +317,15 @@ def suggest_domination_witness(problem: DiscreteProblem, K_indices):
     The candidate base points are the two extreme points of K in one
     dimension and all of K otherwise; the LP keeps those it needs.
     Returns ``(x_indices, coefficients)`` or None when the linear program
-    is infeasible over the candidates.  No completeness guarantee.
+    is infeasible over the candidates.  No completeness guarantee.  Raises
+    ValueError, before the LP, for a K that :func:`check_compact_domination`
+    refuses: empty, or with an index not an integer or outside ``[0, n_x)``.
     """
     from scipy.optimize import linprog
 
-    K_indices = [int(i) for i in K_indices]
+    # x = K with unit coefficients passes whenever K does, so this refuses a bad K alone
+    K_indices = list(K_indices)
+    K_indices = list(_witness(problem, K_indices, K_indices, [1.0] * len(K_indices))[0])
     cand = K_indices
     if problem.x_space.dim == 1:
         order = np.argsort(problem.x_space.points[K_indices, 0])
@@ -346,7 +357,6 @@ def check_moment_condition(
     problem: DiscreteProblem,
     U: np.ndarray,
     r: float = 2.0,
-    x_o_index: int = 0,
 ) -> MomentConditionResult:
     """Evaluate the exponential-moment condition for a ceiling U.
 
@@ -356,8 +366,9 @@ def check_moment_condition(
 
         c = max_i [ sum_j (P[i,j]/P[x_o,j])^r P[x_o,j] psi(U)_j^{-1} nu_j ] / U_i^r
 
-    under the ``[0, inf]`` rules, and holds iff c is finite.  The verdict
-    is invariant under scaling U -> kappa U.
+    with the base point x_o the first x point, under the ``[0, inf]``
+    rules, and holds iff c is finite.  The verdict is invariant under
+    scaling U -> kappa U.
     """
     if r <= 1.0:
         raise ValueError("r must exceed 1")
@@ -370,7 +381,7 @@ def check_moment_condition(
 
     P = kernel_matrix(problem)
     nu = problem.nu.weights
-    base = P[x_o_index, :]
+    base = P[0, :]
     off = base == 0.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         weights = base * nu / psi_U
@@ -384,21 +395,16 @@ def check_moment_condition(
         holds=bool(np.isfinite(c_val) and c_val < OVERFLOW_LIMIT),
         c=float(c_val),
         r=float(r),
-        x_o_index=int(x_o_index),
+        x_o_index=0,
     )
 
 
-def check_radial(
-    t_samples,
-    theta_values,
-    L_candidates,
-    tol: float = 1e-12,
-) -> RadialResult:
+def check_radial(t_samples, theta_values, L_candidates) -> RadialResult:
     """Find the smallest cutoff beyond which a sampled profile decays.
 
     The samples must be positive and bounded.  A candidate L passes when
     the profile restricted to sample points >= L is non-increasing up to
-    ``tol``; the smallest passing candidate is reported.
+    1e-12; the smallest passing candidate is reported.
     """
     t = np.asarray(t_samples, dtype=float)
     th = np.asarray(theta_values, dtype=float)
@@ -410,7 +416,7 @@ def check_radial(
     t, th = t[order], th[order]
     for L in sorted(float(x) for x in L_candidates):
         tail = th[t >= L]
-        if tail.size < 2 or (np.diff(tail) <= tol).all():
+        if tail.size < 2 or (np.diff(tail) <= 1e-12).all():
             return RadialResult(holds=True, L_found=L)
     return RadialResult(holds=False, L_found=None)
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# NotSPD and SYMMETRY_TOL are re-exported: the SPD check is shared with GaussianKernel
-from .problem import (SYMMETRY_TOL, DiscreteProblem, DiscreteSpace, GaussianKernel,
-                      GridTooLarge, Marginal, NotSPD, _as_spd, _gaussian_log_norm)
+# NotSPD is re-exported: the SPD check is shared with GaussianKernel
+from .problem import (DiscreteProblem, DiscreteSpace, GaussianKernel, GridTooLarge, Marginal,
+                      NotSPD, _as_spd, _gaussian_log_norm)
 
 
 class DimensionMismatch(ValueError):

@@ -19,6 +19,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -414,8 +415,6 @@ def _require(mapping: dict, key: str, where: str):
 
 def _numbers_only(obj) -> bool:
     """True when every leaf of the nested lists ``obj`` is a real number, not a bool or a string."""
-    if isinstance(obj, np.ndarray):
-        return obj.dtype.kind in "iuf"
     if isinstance(obj, (list, tuple)):
         return set(map(type, obj)) <= {float, int} or all(map(_numbers_only, obj))
     return not isinstance(obj, bool) and isinstance(obj, numbers.Real)
@@ -517,11 +516,10 @@ def problem_from_dict(obj: dict) -> DiscreteProblem:
 
 
 def save_problem(problem: DiscreteProblem, path: str, format: str = "json") -> None:
-    """Write a problem to disk as JSON or as a CSV bundle directory."""
+    """Write a problem to disk as JSON with sorted keys (the bytes ``gaussian-gen``
+    writes) or as a CSV bundle directory."""
     if format == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(problem_to_dict(problem), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_report(problem_to_dict(problem), path)
     elif format == "csv-bundle":
         _save_csv_bundle(problem, path)
     else:
@@ -546,6 +544,53 @@ def load_problem(path: str, format: str = "json") -> DiscreteProblem:
     if format == "csv-bundle":
         return _load_csv_bundle(path)
     raise ValueError(f"unknown format {format!r}")
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it, nested ``level`` deep.
+
+    Numpy arrays and scalars are written as lists and numbers, and
+    infinite and NaN floats as the strings "inf" and "nan".  A nonempty
+    1-D float array with only finite entries is written straight from
+    ``float.__repr__``, as the json encoder writes floats, with one
+    ``isfinite`` check per array instead of one per element.
+    """
+    pad = "\n" + "  " * (level + 1)
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim == 1 and obj.size and np.isfinite(obj).all():
+            items = map(float.__repr__, obj.tolist())
+            return "[" + pad + ("," + pad).join(items) + pad[:-2] + "]"
+        obj = obj.tolist()
+    if isinstance(obj, (float, np.floating)):
+        f = float(obj)
+        return float.__repr__(f) if math.isfinite(f) else '"nan"' if math.isnan(f) else '"inf"'
+    if isinstance(obj, np.integer):
+        return str(int(obj))
+    # generators, not lists: an item (a large array of a report) is freed
+    # once joined, not held through the copies of the concatenation
+    if isinstance(obj, dict):
+        brackets = "{}"
+        items = (f"{json.dumps(k)}: {_dumps(obj[k], level + 1)}" for k in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        brackets = "[]"
+        items = (_dumps(v, level + 1) for v in obj)
+    else:  # str, int, bool and None; json raises TypeError on anything else
+        return json.dumps(obj)
+    if not obj:
+        return brackets
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
+def _write_report(payload: dict, path: str | None) -> None:
+    _write_text(_dumps(payload) + "\n", path)
+
+
+def _write_text(text: str, path: str | None) -> None:
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def _write_csv(path: str, rows) -> None:

@@ -493,6 +493,8 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["solve", "--U", "{file}"], '["1.0", "1.0"]'),
         (["check", "--moment-U", "{file}"], "[true, true]"),
         (["check", "--input", "{file}"], '{"a": "1.0", "b": true, "c": 1.0}'),
+        # a JSON document that is not a triple
+        (["gaussian-gen", "--input", "{file}"], "[1.0, 1.0, 1.0]"),
     ],
     ids=["U-zero", "U-nan", "U-string", "moment-U-zero", "moment-U-string",
          "U-wrong-length", "moment-U-wrong-length",
@@ -504,7 +506,7 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
          "gen-points-even", "check-half-width-negative", "gen-half-width-negative",
          "check-grid-too-large", "gen-grid-too-large", "finite-guard-nan", "gap-tol-nan",
          "gap-tol-negative", "tol-nan", "report-not-utf8", "U-numeric-strings",
-         "moment-U-bools", "triple-string-and-bool"],
+         "moment-U-bools", "triple-string-and-bool", "gen-list"],
 )
 def test_bad_vector_inputs_exit_one(tmp_path, two_by_two_file, capsys, args, content):
     path = tmp_path / "in.json"
@@ -630,6 +632,18 @@ def test_gaussian_gen_stdout_equals_output_file(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert main(argv + ["--output", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == stdout
+
+
+def test_save_problem_writes_the_bytes_of_gaussian_gen(tmp_path):
+    gp_path = tmp_path / "gp.json"
+    gp_path.write_text(json.dumps({"a": 1.0, "b": 2.0, "c": 1.0}))
+    out = tmp_path / "problem.json"
+    assert main(["gaussian-gen", "--input", str(gp_path), "--points-per-dim", "7",
+                 "--output", str(out)]) == 0
+    saved = tmp_path / "saved.json"
+    save_problem(discretize_gaussian(GaussianProblem(a=1.0, b=2.0, c=1.0), points_per_dim=7),
+                 str(saved))
+    assert saved.read_bytes() == out.read_bytes()
 
 
 def _loaded_by_cli(modules, runs=()):
@@ -922,9 +936,10 @@ def test_malformed_problem_file_exits_with_one_error_line(tmp_path, capsys, name
         ("x,1,0.5", None),
         ("x,1,0.5", "z,1,0.5"),
         ("y,1,0.5", "X,1,0.5"),
+        ("x,0,0.5", "x,0"),
     ],
     ids=["index-word", "index-fraction", "index-past-end", "index-negative", "index-repeated",
-         "index-missing", "space-z", "space-upper-x"],
+         "index-missing", "space-z", "space-upper-x", "two-fields"],
 )
 def test_bad_csv_bundle_marginals_exit_one(tmp_path, capsys, line, replacement):
     bundle = tmp_path / "bundle"
@@ -938,6 +953,25 @@ def test_bad_csv_bundle_marginals_exit_one(tmp_path, capsys, line, replacement):
     assert main(["solve", "--input", str(bundle), "--format", "csv-bundle",
                  "--output", str(out)]) == 1
     assert "marginals.csv" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [("abc", "kernel.csv: line 1: bad float 'abc'\n"),
+     ("inf", "kernel.csv: line 1: non-finite value in problem input\n")],
+    ids=["word", "inf"],
+)
+def test_bad_csv_bundle_kernel_cell_exit_one(tmp_path, capsys, cell, message):
+    bundle = tmp_path / "bundle"
+    save_problem(build_dense_problem([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5], [0.5, 0.5]),
+                 str(bundle), format="csv-bundle")
+    kernel = bundle / "kernel.csv"
+    kernel.write_text(kernel.read_text().replace("1", cell, 1))
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--input", str(bundle), "--format", "csv-bundle",
+                 "--output", str(out)]) == 1
+    assert _one_error_line(capsys).endswith(message)
     assert not out.exists()
 
 
@@ -986,6 +1020,24 @@ def test_problem_file_with_an_asymmetric_gaussian_precision_exits_one(tmp_path, 
     path.write_text(json.dumps(doc))
     assert main(["check", "--input", str(path), "--output", str(out)]) == 1
     assert "not symmetric" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+# SPD matrices; `a` has eigenvalues 9.5e-6 and 1.8e4, so the matrix
+# criterion's harmonic-mean product fails its rounding-asymmetry guard
+_ILL_CONDITIONED_TRIPLE = {
+    "a": [[5856.219832633245, -8540.53873358892], [-8540.53873358892, 12455.270484861228]],
+    "b": [[27115.466942136056, -12626.062279384678], [-12626.062279384678, 5879.767151709585]],
+    "c": [[32.249074720135, -27.710476564693], [-27.710476564693, 23.810623600869]],
+}
+
+
+@pytest.mark.parametrize("grid", [[], ["--points-per-dim", "11"]], ids=["default", "11"])
+def test_check_ill_conditioned_triple_exit_two(tmp_path, capsys, grid):
+    path, out = tmp_path / "gp.json", tmp_path / "r.json"
+    path.write_text(json.dumps(_ILL_CONDITIONED_TRIPLE))
+    assert main(["check", "--input", str(path), "--output", str(out), *grid]) == 2
+    assert "product expression asymmetry" in _one_error_line(capsys)
     assert not out.exists()
 
 

@@ -256,6 +256,26 @@ def test_domination_rejects_indices_off_the_grid_and_bad_coefficients(two_by_two
         check_compact_domination(two_by_two, K, x, c)
 
 
+@pytest.mark.parametrize("dim, points", [(1, 21), (2, 7)], ids=["1d", "2d"])
+@pytest.mark.parametrize(
+    "K, message",
+    [([], "K nonempty"), ([10**6], r"indices must lie in \[0, "),
+     ([-1], r"indices must lie in \[0, ")],
+    ids=["empty", "past-end", "negative"],
+)
+def test_witness_search_refuses_a_bad_K_before_the_lp(monkeypatch, dim, points, K, message):
+    import scipy.optimize
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("the LP ran")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", no_lp)
+    gp = GaussianProblem(a=np.eye(dim), b=np.eye(dim), c=np.eye(dim))
+    problem = validate_reduction(discretize_gaussian(gp, points_per_dim=points))
+    with pytest.raises(ValueError, match=message):
+        suggest_domination_witness(problem, K_indices=K)
+
+
 def test_domination_accepts_integral_floats_and_numpy_integers(two_by_two):
     res = check_compact_domination(two_by_two, [np.int64(0)], [1.0], [np.float64(2.0)])
     assert res.K_indices == (0,) and res.x_indices == (1,) and res.coefficients == (2.0,)
@@ -269,7 +289,7 @@ def test_domination_accepts_integral_floats_and_numpy_integers(two_by_two):
 
 def test_moment_constant_kernel():
     problem = build_dense_problem(np.ones((3, 3)), [1 / 3] * 3, [1 / 3] * 3)
-    res = check_moment_condition(problem, np.ones(3), r=2.0, x_o_index=0)
+    res = check_moment_condition(problem, np.ones(3), r=2.0)
     assert res.holds
     assert res.c == pytest.approx(1.0, abs=1e-14)
 
@@ -293,7 +313,7 @@ def loop_moment_constant(problem, U, r, x_o):
 
 
 def test_moment_two_by_two_matches_oracle(two_by_two):
-    res = check_moment_condition(two_by_two, np.ones(2), r=2.0, x_o_index=0)
+    res = check_moment_condition(two_by_two, np.ones(2), r=2.0)
     assert res.holds
     assert res.c == pytest.approx(loop_moment_constant(two_by_two, np.ones(2), 2.0, 0), rel=1e-14)
 
