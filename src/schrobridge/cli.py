@@ -87,6 +87,7 @@ from .problem import (
     load_problem,
     problem_from_dict,
     problem_to_dict,
+    row_blocks,
     validate_reduction,
 )
 
@@ -292,20 +293,25 @@ def _finish_check(args: argparse.Namespace, payload: dict, holds: bool) -> int:
     return EXIT_OK if holds else EXIT_NO_CRITERION
 
 
-#: entries of one row block of :func:`_coupling_gap` (512 KiB of floats)
-_GAP_BLOCK = 1 << 16
-
-
 def _coupling_gap(one: ft.SchrodingerSolution, two: ft.SchrodingerSolution) -> float:
-    """``max |pi_one - pi_two|`` over fixed row blocks, never forming a whole coupling.
+    """``max |pi_one - pi_two|`` over row blocks, never forming a whole coupling.
 
-    The entries of a block are those of the whole ``pi``, bit for bit, so
-    the gap is the dense one.
+    Two reused block buffers hold the products ``(a' P') b'`` that
+    :meth:`~schrobridge.fortet.SchrodingerSolution.pi_rows` forms, so the
+    entries are those of the whole ``pi``, bit for bit, and the gap is the
+    dense one.
     """
     n_x, n_y = one.factors[1].shape
-    step = max(1, _GAP_BLOCK // n_y)
-    return max(float(np.max(np.abs(one.pi_rows(blk) - two.pi_rows(blk))))
-               for blk in (slice(lo, lo + step) for lo in range(0, n_x, step)))
+    blocks = row_blocks(n_x, n_y)
+    first, second = (np.empty((blocks[0].stop, n_y)) for _ in range(2))
+    gaps = []
+    for rows in blocks:
+        k = rows.stop - rows.start
+        for buf, (a, P, b) in ((first[:k], one.factors), (second[:k], two.factors)):
+            np.multiply(np.multiply(a[rows, None], P[rows], out=buf), b, out=buf)
+        diff = np.subtract(first[:k], second[:k], out=first[:k])
+        gaps.append(float(np.max(np.abs(diff, out=diff))))
+    return max(gaps)
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -162,35 +162,61 @@ class CriteriaReport:
     scaling: ScalingCertificate | None = None
 
 
+#: rows summed side by side in :func:`_exact_column_sums`, one lane each
+_LANES = 16
+
+
+def _two_sum(p: np.ndarray, x: np.ndarray, q: np.ndarray, s: np.ndarray, z: np.ndarray,
+             e: np.ndarray) -> None:
+    """TwoSum of ``p`` and ``x`` (Knuth): ``s = fl(p + x)``, and its error, with
+    ``s + error == p + x`` exactly, added into ``q``.  ``z`` and ``e`` are scratch."""
+    np.add(p, x, out=s)
+    np.subtract(s, p, out=z)
+    np.subtract(s, z, out=e)
+    np.subtract(p, e, out=e)
+    np.subtract(x, z, out=z)
+    np.add(e, z, out=e)
+    np.add(q, e, out=q)
+
+
 def _exact_column_sums(P: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``math.fsum`` of each column of ``P * w[:, None]``, bit for bit, for nonnegative P and w.
 
     Sum2 of Ogita, Rump & Oishi 2005 (*Accurate sum and dot product*),
-    vectorized across the columns: a cascade of TwoSums over the rows
-    leaves a rounded sum ``p`` and the float sum ``q`` of the rounding
-    errors, with ``|p + q - s| <= gamma_{n-1}^2 s`` for the exact sum
-    ``s`` of nonnegative terms.  One more TwoSum gives ``r + f == p + q``
-    exactly, so ``r`` is the correctly rounded ``s`` -- what ``fsum``
-    returns -- when ``|f|`` plus that bound stays below half the gap from
-    ``r`` to its nearer neighbouring double.  The bound is taken as
-    ``2 gamma_{n-1}^2 r`` plus the smallest subnormal, which covers
-    ``s > r`` and the rounding of the test itself.  Every other column
-    (a tie, a non-finite partial sum, an all-zero column) is summed by
-    ``math.fsum``.  Work memory is O(number of columns).
+    vectorized across the columns and across ``_LANES`` lanes of rows
+    (row ``lo + l`` of each block goes to lane ``l``; zeros pad the last
+    block, and a TwoSum with a zero operand is exact), the lanes then
+    joined by a cascade of TwoSums.  For nonnegative terms any tree with
+    at most ``n - 1`` TwoSums of two nonzero operands leaves a rounded
+    sum ``p`` whose errors have ``sum |e| <= gamma_{n-1} s``, and their
+    float sum ``q`` is within ``gamma_{n-2} sum |e|`` of that, so ``|p +
+    q - s| <= gamma_{n-1}^2 s`` for the exact sum ``s``, as for the plain
+    cascade (which this is for ``n <= _LANES``).  One more TwoSum gives
+    ``r + f == p + q`` exactly, so ``r`` is the correctly rounded ``s``
+    -- what ``fsum`` returns -- when ``|f|`` plus that bound stays below
+    half the gap from ``r`` to its nearer neighbouring double.  The bound
+    is taken as ``2 gamma_{n-1}^2 r`` plus the smallest subnormal, which
+    covers ``s > r`` and the rounding of the test itself.  Every other
+    column (a tie, a non-finite partial sum, an all-zero column) is
+    summed by ``math.fsum``.  Work memory is O(``_LANES`` times the
+    number of columns).
     """
     n, m = P.shape
     g = (n - 1) * _UNIT_ROUNDOFF / (1.0 - (n - 1) * _UNIT_ROUNDOFF)
-    p, q, x, s, z, e = (np.zeros(m) for _ in range(6))
+    k = min(n, _LANES)
+    p, q, x, s, z, e = (np.zeros((k, m)) for _ in range(6))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            np.multiply(P[i], w[i], out=x)
-            np.add(p, x, out=s)  # TwoSum(p, x): s + e == p + x
-            np.subtract(s, p, out=z)
-            np.subtract(s, z, out=e)
-            np.subtract(p, e, out=e)
-            np.subtract(x, z, out=z)
-            np.add(e, z, out=e)
-            np.add(q, e, out=q)
+        for lo in range(0, n, k):
+            rows = min(k, n - lo)
+            np.multiply(P[lo:lo + rows], w[lo:lo + rows, None], out=x[:rows])
+            x[rows:] = 0.0
+            _two_sum(p, x, q, s, z, e)
+            p, s = s, p
+        lane_p, lane_q = p, q
+        p, q, s, z, e = p[0], q[0], s[0], z[0], e[0]
+        for lane in range(1, k):
+            _two_sum(p, lane_p[lane], q, s, z, e)
+            np.add(q, lane_q[lane], out=q)
             p, s = s, p
         r = p + q
         z = r - p
@@ -207,11 +233,12 @@ def _integral_direction(P: np.ndarray, inner_marginal: np.ndarray,
     """``sum_j outer_j / inner_j`` with ``inner_j = sum_i P[i,j] inner_marginal_i``.
 
     Both sums are exactly rounded.  The inner ones come from one pass of
-    Sum2 (Ogita, Rump & Oishi 2005) across all columns, accepted per
-    column when ``|f| + 2 gamma_{n-1}^2 r`` stays below half the gap
-    from ``r`` to its nearer neighbouring double, with ``math.fsum`` for
-    the rest (see :func:`_exact_column_sums`); the outer one is one
-    ``math.fsum``.
+    Sum2 (Ogita, Rump & Oishi 2005) across all columns, in lanes of rows
+    joined at the end; for nonnegative terms the error bound of any tree
+    of TwoSums is the cascade's, so a column is accepted when ``|f| + 2
+    gamma_{n-1}^2 r`` stays below half the gap from ``r`` to its nearer
+    neighbouring double, with ``math.fsum`` for the rest (see
+    :func:`_exact_column_sums`); the outer one is one ``math.fsum``.
     """
     # exactly rounded sums keep the verdict independent of summation
     # order, so transposing the problem swaps the directions bit-for-bit
@@ -448,9 +475,10 @@ def scaling_certificate(problem: DiscreteProblem) -> ScalingCertificate | None:
     validation refuses, gives a hall certificate: its S contains the
     point.
     """
-    support = kernel_matrix(problem) > 0
-    if support.all():
+    P = kernel_matrix(problem)
+    if P.min() > 0.0:
         return None
+    support = P > 0
     mu, nu = problem.mu.weights, problem.nu.weights
     support &= (mu > 0)[:, None] & (nu > 0)[None, :]
     S = _certificate_candidate(support, mu / mu.sum(), nu / nu.sum())
@@ -603,10 +631,11 @@ def full_report(problem: DiscreteProblem, finite_guard: float = DIVERGENCE_GUARD
             check_radial(t, theta, np.linspace(0.0, max(t_max, 1.0), 101))
             if (theta > 0).all() else RadialResult(holds=False, L_found=None)
         )
+    sup = float(P.max())
     return CriteriaReport(
-        positivity=bool((P > 0).all()),
-        boundedness=bool(np.isfinite(P).all()),
-        sup_kernel=float(P.max()),
+        positivity=bool(P.min() > 0.0),
+        boundedness=sup < INF,
+        sup_kernel=sup,
         integral=check_integral_criterion(problem, finite_guard),
         scaling=scaling_certificate(problem),
         radial=radial,

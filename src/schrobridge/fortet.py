@@ -318,7 +318,7 @@ def _iterate(problem, u, tol, max_iter, trace, U=None) -> FixedPointResult:
     else:
         cutoff = DEGENERATE_CUTOFF * float(np.min(U))
         sup_U = float(np.max(U))
-        check_dichotomy = bool((kernel_matrix(problem) > 0).all())
+        check_dichotomy = bool(kernel_matrix(problem).min() > 0.0)
     records: list[TraceRecord] = []
     early_exit: int | None = None
     prev_level = INF
@@ -516,7 +516,7 @@ def sinkhorn_baseline(problem: DiscreteProblem, tol: float = 1e-10,
     """
     _check_budget(tol, max_iter)
     P = kernel_matrix(problem)
-    if not (P > 0).all():
+    if not P.min() > 0.0:
         raise ValueError("sinkhorn_baseline requires a strictly positive kernel")
     mu, nu = problem.mu.weights, problem.nu.weights
     K, logP, f, g = P, None, np.zeros(problem.n_x), np.zeros(problem.n_y)

@@ -21,14 +21,26 @@ import numbers
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
 MARGINAL_MASS_TOL = 1e-12
 #: Most bytes a kernel evaluation may ask for: the dense matrix, plus the
-#: ``(n_x, n_y, d)`` array of differences a functional kernel builds.
+#: ``(n_x, n_y, d)`` array of differences a radial kernel builds.  A
+#: Gaussian kernel is counted the same way, though it builds its
+#: differences one row block at a time.
 MAX_KERNEL_BYTES = 2**31
+#: Entries of one row block of a kernel-sized sweep (512 KiB of floats).
+ROW_BLOCK_ENTRIES = 1 << 16
+
+
+def row_blocks(n_rows: int, n_cols: int):
+    """Slices that cover ``range(n_rows)`` in order, each of about
+    ``ROW_BLOCK_ENTRIES`` entries of an ``n_rows x n_cols`` matrix (one row at least)."""
+    step = max(1, ROW_BLOCK_ENTRIES // max(1, n_cols))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 class ValidationError(ValueError):
@@ -207,11 +219,21 @@ class GaussianKernel:
         object.__setattr__(self, "c", _as_spd(self.c, "gaussian kernel precision"))
 
     def evaluate(self, x_points: np.ndarray, y_points: np.ndarray) -> np.ndarray:
-        """The density ``norm exp(-quad / 2)``, ``norm`` from :func:`_gaussian_log_norm`."""
-        diff = y_points[None, :, :] - x_points[:, None, :]
-        half = np.einsum("ijk,kl,ijl->ij", diff, -0.5 * self.c, diff)  # -quad/2, scaled exactly
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below as non-finite
-            return np.multiply(np.exp(half, out=half), np.exp(_gaussian_log_norm(self.c)), out=half)
+        """The density ``norm exp(-quad / 2)``, ``norm`` from :func:`_gaussian_log_norm`.
+
+        Built in row blocks (:func:`row_blocks`), so the differences ``y - x``
+        exist for one block at a time; each entry has the bits of the
+        one-shot ``einsum`` over the whole ``(n_x, n_y, d)`` array.
+        """
+        out = np.empty((x_points.shape[0], y_points.shape[0]))
+        scaled = -0.5 * self.c  # -quad/2, scaled exactly
+        with np.errstate(over="ignore", invalid="ignore"):  # refused by kernel_matrix as non-finite
+            norm = np.exp(_gaussian_log_norm(self.c))
+            for rows in row_blocks(*out.shape):
+                diff = y_points[None, :, :] - x_points[rows, None, :]
+                half = np.einsum("ijk,kl,ijl->ij", diff, scaled, diff, out=out[rows])
+                np.multiply(np.exp(half, out=half), norm, out=half)
+        return out
 
 
 def _gaussian_log_norm(precision: np.ndarray) -> float:
@@ -327,7 +349,11 @@ def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
     The matrix is cached on the problem as a read-only view; a dense
     kernel's cache shares memory with its entries.
     Raises :class:`GridTooLarge`, before allocating, when the evaluation
-    would need more than ``MAX_KERNEL_BYTES``.
+    would need more than ``MAX_KERNEL_BYTES``: ``8 n_x n_y`` bytes, times
+    ``1 + d`` for a functional kernel.  That counts a radial kernel's
+    differences and over-counts a Gaussian one, which holds one row block
+    of them.  Raises :class:`EvaluationError` for an entry that is not
+    finite, then for one that is negative.
     """
     if problem._matrix is None:
         depth = 1 if isinstance(problem.kernel, DenseKernel) else 1 + problem.x_space.dim
@@ -338,9 +364,11 @@ def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
                 f"more than the cap of {MAX_KERNEL_BYTES}"
             )
         mat = problem.kernel.evaluate(problem.x_space.points, problem.y_space.points)
-        if not np.isfinite(mat).all():
-            raise EvaluationError("kernel evaluation produced non-finite entries")
-        if (mat < 0).any():
+        # two reductions when the matrix is sound (a NaN makes its min NaN);
+        # the scans that pick the message run only on failure
+        if not (mat.min() >= 0.0 and mat.max() < math.inf):
+            if not np.isfinite(mat).all():
+                raise EvaluationError("kernel evaluation produced non-finite entries")
             raise EvaluationError("kernel evaluation produced negative entries")
         problem._matrix = _read_only(mat)
     return problem._matrix
@@ -379,6 +407,8 @@ def validate_reduction(problem: DiscreteProblem) -> DiscreteProblem:
         )
 
     P = kernel_matrix(reduced)
+    if P.min() > 0.0:  # a positive kernel links every row and column
+        return reduced
     rows_ok = (P > 0).any(axis=1)
     if not rows_ok.all():
         bad = np.flatnonzero(~rows_ok).tolist()
@@ -415,9 +445,15 @@ def _require(mapping: dict, key: str, where: str):
 
 def _numbers_only(obj) -> bool:
     """True when every leaf of the nested lists ``obj`` is a real number, not a bool or a string."""
-    if isinstance(obj, (list, tuple)):
-        return set(map(type, obj)) <= {float, int} or all(map(_numbers_only, obj))
-    return not isinstance(obj, bool) and isinstance(obj, numbers.Real)
+    if not isinstance(obj, (list, tuple)):
+        return not isinstance(obj, bool) and isinstance(obj, numbers.Real)
+    types = set(map(type, obj))
+    if types <= {float, int}:
+        return True
+    if types == {list}:  # rows: their items are checked together, not row by row
+        return (set(map(type, chain.from_iterable(obj))) <= {float, int}
+                or all(map(_numbers_only, chain.from_iterable(obj))))
+    return all(map(_numbers_only, obj))
 
 
 def _number_array(obj) -> np.ndarray:

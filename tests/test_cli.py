@@ -211,12 +211,13 @@ def test_coupling_gap_over_row_blocks_equals_dense_gap(gaussian_file, monkeypatc
     # one row per block, 2 rows with a ragged last block, and one block
     from schrobridge import extract_solution, sinkhorn_baseline, solve_fortet
     from schrobridge import cli
+    from schrobridge import problem as problem_module
 
     problem = validate_reduction(load_problem(gaussian_file))
     result = solve_fortet(problem, tol=1e-12)
     sol_f = extract_solution(problem, result.u_star, psi_star=result.psi_star)
     sink = sinkhorn_baseline(problem, tol=1e-12)
-    monkeypatch.setattr(cli, "_GAP_BLOCK", block)
+    monkeypatch.setattr(problem_module, "ROW_BLOCK_ENTRIES", block)
     assert cli._coupling_gap(sol_f, sink) == float(np.max(np.abs(sol_f.pi - sink.pi)))
 
 
@@ -923,6 +924,34 @@ def test_malformed_problem_file_exits_with_one_error_line(tmp_path, capsys, name
         report = read(out)
         assert report["radial"] == {"holds": False, "L_found": None}
         assert report["positivity"] is False
+
+
+_EQUAL_LENGTH = "x_space.points must be numbers in lists of equal length"
+
+
+@pytest.mark.parametrize("points, message", [
+    ([[1.0], [True]], _EQUAL_LENGTH),
+    ([[1.0], ["0.5"]], _EQUAL_LENGTH),
+    ([[1.0], 2.0], _EQUAL_LENGTH),
+    ([[]], "x_space: weights must align with points"),
+    ([[[0.0]], [[1.0]]], "x_space: points must be a nonempty list of coordinate vectors"),
+    ([[[0.0]], [[True]]], _EQUAL_LENGTH),
+    ([[[0.0]], [1.0]], _EQUAL_LENGTH),
+], ids=["bool", "string", "row-and-number", "empty-row", "three-levels", "three-levels-bool",
+        "three-levels-ragged"])
+def test_nested_points_exit_one_with_their_message(tmp_path, capsys, points, message):
+    # the number check reads the items of a list of rows together; each
+    # nesting keeps its message
+    space = {"points": [[0.0], [1.0]], "weights": [1.0, 1.0]}
+    doc = {"x_space": {"points": points, "weights": [1.0, 1.0]}, "y_space": space,
+           "mu": [0.5, 0.5], "nu": [0.5, 0.5],
+           "kernel": {"kind": "dense-matrix", "entries": [[1.0, 2.0], [3.0, 4.0]]}}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["solve", "--input", str(path), "--output", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -89,7 +89,7 @@ _TIE_TERMS = [1.0, 2.0**-53, 2.0**-54, 3.0 * 2.0**-53, 2.0**-110]
 @st.composite
 def column_sets(draw):
     """A nonnegative matrix and row weights: ties, subnormals, zeros, 1e-300 to 1e300."""
-    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 6))  # up to three blocks of lanes
     entry = st.one_of(
         st.just(0.0),
         st.sampled_from(_TIE_TERMS),
@@ -127,21 +127,40 @@ def test_exact_column_sums_equal_fsum(case):
     assert np.array_equal(_exact_column_sums(P, w), _fsum_columns(P, w))
 
 
+# columns: a tie; all zeros; a sum Sum2 rounds to a tie (1, where fsum
+# gives 1 + 2^-52); a sum whose lost errors (3 x 3 * 2^-109) carry it past
+# a midpoint, so that r is wrong although |f| is below half the gap and
+# only the gamma^2 bound sends it to fsum; then two the bound decides
+_FALLBACK_ROWS = np.array([[1.0, 0.0, 1.0, 1.0 + 2.0**-52, 0.5, 1e300],
+                           [2.0**-53, 0.0, 2.0**-53, 2.0**-53 - 2.0**-106, 0.25, 1e-300],
+                           [0.0, 0.0, 2.0**-110, 3 * 2.0**-109, 0.125, 0.0],
+                           [0.0, 0.0, 0.0, 3 * 2.0**-109, 0.0, 0.0],
+                           [0.0, 0.0, 0.0, 3 * 2.0**-109, 0.0, 0.0]])
+
+
 def test_exact_column_sums_fall_back_to_fsum_on_ties_and_zeros(monkeypatch):
-    # columns: a tie; all zeros; a sum Sum2 rounds to a tie (1, where fsum
-    # gives 1 + 2^-52); a sum whose lost errors (3 x 3 * 2^-109) carry it
-    # past a midpoint, so that r is wrong although |f| is below half the
-    # gap and only the gamma^2 bound sends it to fsum; then two the bound
-    # decides
-    P = np.array([[1.0, 0.0, 1.0, 1.0 + 2.0**-52, 0.5, 1e300],
-                  [2.0**-53, 0.0, 2.0**-53, 2.0**-53 - 2.0**-106, 0.25, 1e-300],
-                  [0.0, 0.0, 2.0**-110, 3 * 2.0**-109, 0.125, 0.0],
-                  [0.0, 0.0, 0.0, 3 * 2.0**-109, 0.0, 0.0],
-                  [0.0, 0.0, 0.0, 3 * 2.0**-109, 0.0, 0.0]])
+    P = _FALLBACK_ROWS
     expect = _fsum_columns(P, np.ones(5))
     assert expect[2] == 1.0 + 2.0**-52 and expect[3] == 1.0 + 2.0**-51
     calls = _count_fsum(monkeypatch)
     assert np.array_equal(_exact_column_sums(P, np.ones(5)), expect)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("n", [15, 16, 17, 33])
+@pytest.mark.parametrize("place", ["head", "tail", "spread"])
+def test_exact_column_sums_fall_back_across_blocks_of_lanes(monkeypatch, n, place):
+    # the rows above among zero rows: first, last (the ragged last block
+    # when n = 17 or 33), or spread, with the tie's two terms in rows 0 and
+    # n - 1: lane 0 of the first and of the ragged last block when n = 17
+    # or 33, two lanes of one block otherwise
+    rows = {"head": [0, 1, 2, 3, 4], "tail": list(range(n - 5, n)),
+            "spread": [0, n - 1, 1, n - 2, n // 2]}[place]
+    P = np.zeros((n, 6))
+    P[rows] = _FALLBACK_ROWS
+    expect = _fsum_columns(P, np.ones(n))
+    calls = _count_fsum(monkeypatch)
+    assert np.array_equal(_exact_column_sums(P, np.ones(n)), expect)
     assert len(calls) == 4
 
 

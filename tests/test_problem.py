@@ -25,6 +25,7 @@ from schrobridge import (
     save_problem,
     validate_reduction,
 )
+from schrobridge import problem as problem_module
 from schrobridge.problem import _gaussian_log_norm
 from conftest import build_dense_problem
 
@@ -345,11 +346,16 @@ def test_reduction_slices_a_dense_kernel():
     assert res.continuity == "asserted-not-checked"
 
 
-@pytest.mark.parametrize("c, n", [([[1.0]], 801), ([[2.0, 0.3], [0.3, 0.5]], 60)],
-                         ids=["1-D", "2-D"])
-def test_gaussian_kernel_keeps_the_bits_of_the_density_formula(c, n):
-    # the kernel is evaluated in place; each entry keeps the bits of
-    # norm * exp(-0.5 * quad), computed out of place
+@pytest.mark.parametrize("c, n", [([[1.0]], 801), ([[2.0, 0.3], [0.3, 0.5]], 60),
+                                  ([[1.5, 0.2, -0.1], [0.2, 0.8, 0.3], [-0.1, 0.3, 2.0]], 45),
+                                  ([[1.0]], 1)],
+                         ids=["1-D", "2-D", "3-D", "1-point"])
+def test_gaussian_kernel_keeps_the_bits_of_the_density_formula(c, n, monkeypatch):
+    # the kernel is evaluated in place, in row blocks; each entry keeps the
+    # bits of norm * exp(-0.5 * quad), computed out of place, and of the
+    # one-shot einsum over the whole (n_x, n_y, d) array of differences.
+    # Blocks: the default (801 rows of 808 are 9 blocks of 81 and one of
+    # 72), one row, and 3 rows
     rng = np.random.default_rng(5)
     x = rng.normal(0.0, 3.0, (n, len(c)))
     y = rng.normal(0.0, 3.0, (n + 7, len(c)))
@@ -357,7 +363,39 @@ def test_gaussian_kernel_keeps_the_bits_of_the_density_formula(c, n):
     diff = y[None, :, :] - x[:, None, :]
     quad = np.einsum("ijk,kl,ijl->ij", diff, c, diff)
     expected = np.exp(_gaussian_log_norm(c)) * np.exp(-0.5 * quad)
-    assert np.array_equal(GaussianKernel(c).evaluate(x, y), expected)
+    one_shot = np.exp(np.einsum("ijk,kl,ijl->ij", diff, -0.5 * c, diff)) * np.exp(
+        _gaussian_log_norm(c))
+    assert np.array_equal(one_shot, expected)
+    for entries in (problem_module.ROW_BLOCK_ENTRIES, 1, 3 * (n + 7)):
+        monkeypatch.setattr(problem_module, "ROW_BLOCK_ENTRIES", entries)
+        assert np.array_equal(GaussianKernel(c).evaluate(x, y), expected)
+
+
+class _TableKernel:
+    """A functional kernel whose evaluation is a fixed table, unchecked."""
+
+    def __init__(self, table):
+        self.table = np.array(table, dtype=float)
+
+    def evaluate(self, x_points, y_points):
+        return self.table.copy()
+
+
+@pytest.mark.parametrize("bad, message", [(math.nan, "non-finite"), (-math.inf, "non-finite"),
+                                          (math.inf, "non-finite"), (-1.0, "negative")])
+def test_kernel_matrix_names_a_non_finite_or_negative_entry(bad, message):
+    # a radial profile is refused by its own check; kernel_matrix refuses
+    # any other evaluation with its two messages, non-finite first
+    x = [0.0, 1.0]
+    radial = _functional_problem(RadialKernel(profile=lambda t: np.where(t > 0, bad, 1.0)), x, x)
+    with pytest.raises(EvaluationError, match="radial profile returned a negative or non-finite"):
+        kernel_matrix(radial)
+    table = _functional_problem(_TableKernel([[1.0, bad], [0.5, 1.0]]), x, x)
+    with pytest.raises(EvaluationError, match=f"kernel evaluation produced {message} entries"):
+        kernel_matrix(table)
+    both = _functional_problem(_TableKernel([[-1.0, bad], [0.5, 1.0]]), x, x)
+    with pytest.raises(EvaluationError, match=f"kernel evaluation produced {message} entries"):
+        kernel_matrix(both)
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
