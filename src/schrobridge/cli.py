@@ -13,7 +13,9 @@ Exit codes: 0 success / criterion certified / gap within tolerance;
 message names its file, line and column), a kernel whose values are
 negative or not finite (``problem.EvaluationError``), a ``--tol`` below 4 eps
 (``fortet.MIN_TOL``) or NaN, a ``--U`` or ``--moment-U`` file that is
-not a list of one finite, strictly positive number per x point, a
+not a list of one finite, strictly positive number per x point that
+carries mass (ceilings, witness indices and a report's ``a`` and
+``u_star`` index the x points of nonzero mass, in file order), a
 ``--U`` file or ``--trace`` with ``--scheme sinkhorn``, a
 ``--moment-U`` or ``--domination-witness`` with a Gaussian triple, a
 witness without the keys K, x and c, with an index that is not an
@@ -297,7 +299,7 @@ def _coupling_gap(one: ft.SchrodingerSolution, two: ft.SchrodingerSolution) -> f
     """``max |pi_one - pi_two|`` over row blocks, never forming a whole coupling.
 
     Two reused block buffers hold the products ``(a' P') b'`` that
-    :meth:`~schrobridge.fortet.SchrodingerSolution.pi_rows` forms, so the
+    :attr:`~schrobridge.fortet.SchrodingerSolution.pi` forms, so the
     entries are those of the whole ``pi``, bit for bit, and the gap is the
     dense one.
     """
@@ -338,16 +340,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     u_s = u_s / np.max(u_s)
     gap = float(np.max(np.abs(u_f - u_s)))
     sol_f = ft.extract_solution(problem, result.u_star, psi_star=result.psi_star)
-    coupling_gap = _coupling_gap(sol_f, sink)
-    payload.update(
-        {
-            "potential_gap": gap,
-            "coupling_gap": coupling_gap,
-            "gap_tol": args.gap_tol,
-            "fortet_rel_entropy": sol_f.rel_entropy,
-            "sinkhorn_rel_entropy": sink.rel_entropy,
-        }
-    )
+    payload.update(potential_gap=gap, coupling_gap=_coupling_gap(sol_f, sink),
+                   gap_tol=args.gap_tol, fortet_rel_entropy=sol_f.rel_entropy,
+                   sinkhorn_rel_entropy=sink.rel_entropy)
     _write_report(payload, args.output)
     return EXIT_OK if gap <= args.gap_tol else EXIT_GAP
 

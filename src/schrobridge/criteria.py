@@ -41,6 +41,7 @@ from .problem import (
     DiscreteProblem,
     RadialKernel,
     ValidationError,
+    distance_blocks,
     kernel_matrix,
 )
 
@@ -622,15 +623,13 @@ def full_report(problem: DiscreteProblem, finite_guard: float = DIVERGENCE_GUARD
     P = kernel_matrix(problem)
     radial = None
     if isinstance(problem.kernel, RadialKernel):
-        diffs = problem.x_space.points[:, None, :] - problem.y_space.points[None, :, :]
-        t_max = float(np.sqrt((diffs * diffs).sum(axis=2)).max())
-        t = np.linspace(0.0, max(t_max, 1.0), 512)
+        blocks = distance_blocks(problem.x_space.points, problem.y_space.points)
+        top = max(1.0, *(float(r.max()) for _, r in blocks))
+        t = np.linspace(0.0, top, 512)
         with np.errstate(all="ignore"):
             theta = np.asarray(problem.kernel.profile(t), dtype=float)
-        radial = (
-            check_radial(t, theta, np.linspace(0.0, max(t_max, 1.0), 101))
-            if (theta > 0).all() else RadialResult(holds=False, L_found=None)
-        )
+        radial = (check_radial(t, theta, np.linspace(0.0, top, 101)) if (theta > 0).all()
+                  else RadialResult(holds=False, L_found=None))
     sup = float(P.max())
     return CriteriaReport(
         positivity=bool(P.min() > 0.0),

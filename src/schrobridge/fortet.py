@@ -138,15 +138,11 @@ class SchrodingerSolution:
     rel_entropy: float
     factors: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
-    def pi_rows(self, rows: slice) -> np.ndarray:
-        """The rows ``rows`` of the coupling ``a' P' b'``, as a new array."""
-        a, P, b = self.factors
-        return a[rows, None] * P[rows] * b[None, :]
-
     @property
     def pi(self) -> np.ndarray:
         """The dense coupling ``a' P' b'``, a new n_x x n_y array on each access."""
-        return self.pi_rows(slice(None))
+        a, P, b = self.factors
+        return a[:, None] * P * b[None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,8 @@ from typing import Callable
 import numpy as np
 
 MARGINAL_MASS_TOL = 1e-12
-#: Most bytes a kernel evaluation may ask for: the dense matrix, plus the
-#: ``(n_x, n_y, d)`` array of differences a radial kernel builds.  A
-#: Gaussian kernel is counted the same way, though it builds its
-#: differences one row block at a time.
+#: Most bytes a kernel matrix may take, ``8 n_x n_y``.  A functional kernel
+#: holds one row block of differences besides it while it is built.
 MAX_KERNEL_BYTES = 2**31
 #: Entries of one row block of a kernel-sized sweep (512 KiB of floats).
 ROW_BLOCK_ENTRIES = 1 << 16
@@ -41,6 +39,20 @@ def row_blocks(n_rows: int, n_cols: int):
     ``ROW_BLOCK_ENTRIES`` entries of an ``n_rows x n_cols`` matrix (one row at least)."""
     step = max(1, ROW_BLOCK_ENTRIES // max(1, n_cols))
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def difference_blocks(x_points: np.ndarray, y_points: np.ndarray):
+    """``(rows, y_points[None] - x_points[rows, None])`` over :func:`row_blocks` of the
+    ``(n_x, n_y, d)`` differences: the one sweep of pairwise differences of two grids."""
+    for rows in row_blocks(x_points.shape[0], y_points.size):
+        yield rows, y_points[None] - x_points[rows, None]
+
+
+def distance_blocks(x_points: np.ndarray, y_points: np.ndarray):
+    """``(rows, |y - x|)`` over :func:`difference_blocks`."""
+    for rows, diff in difference_blocks(x_points, y_points):
+        r = np.square(diff, out=diff).sum(axis=2)
+        yield rows, np.sqrt(r, out=r)
 
 
 class ValidationError(ValueError):
@@ -198,15 +210,15 @@ class RadialKernel:
     profile_params: dict | None = None
 
     def evaluate(self, x_points: np.ndarray, y_points: np.ndarray) -> np.ndarray:
-        diff = x_points[:, None, :] - y_points[None, :, :]
-        r = np.sqrt((diff * diff).sum(axis=2))
-        with np.errstate(all="ignore"):  # a steep profile is refused below, not warned about
-            vals = np.asarray(self.profile(r), dtype=float)
-        if vals.shape != r.shape:
-            raise EvaluationError("radial profile must evaluate elementwise")
-        if not np.isfinite(vals).all() or (vals < 0).any():
-            raise EvaluationError("radial profile returned a negative or non-finite value")
-        return vals
+        """The profile over :func:`distance_blocks`; :func:`kernel_matrix` checks its values."""
+        out = np.empty((x_points.shape[0], y_points.shape[0]))
+        with np.errstate(all="ignore"):  # kernel_matrix refuses a steep profile, unwarned
+            for rows, r in distance_blocks(x_points, y_points):
+                vals = np.asarray(self.profile(r), dtype=float)
+                if vals.shape != r.shape:
+                    raise EvaluationError("radial profile must evaluate elementwise")
+                out[rows] = vals
+        return out
 
 
 @dataclass(frozen=True)
@@ -221,16 +233,15 @@ class GaussianKernel:
     def evaluate(self, x_points: np.ndarray, y_points: np.ndarray) -> np.ndarray:
         """The density ``norm exp(-quad / 2)``, ``norm`` from :func:`_gaussian_log_norm`.
 
-        Built in row blocks (:func:`row_blocks`), so the differences ``y - x``
-        exist for one block at a time; each entry has the bits of the
-        one-shot ``einsum`` over the whole ``(n_x, n_y, d)`` array.
+        Built in row blocks (:func:`difference_blocks`), so the differences
+        ``y - x`` exist for one block at a time; each entry has the bits of
+        the one-shot ``einsum`` over the whole ``(n_x, n_y, d)`` array.
         """
         out = np.empty((x_points.shape[0], y_points.shape[0]))
         scaled = -0.5 * self.c  # -quad/2, scaled exactly
         with np.errstate(over="ignore", invalid="ignore"):  # refused by kernel_matrix as non-finite
             norm = np.exp(_gaussian_log_norm(self.c))
-            for rows in row_blocks(*out.shape):
-                diff = y_points[None, :, :] - x_points[rows, None, :]
+            for rows, diff in difference_blocks(x_points, y_points):
                 half = np.einsum("ijk,kl,ijl->ij", diff, scaled, diff, out=out[rows])
                 np.multiply(np.exp(half, out=half), norm, out=half)
         return out
@@ -348,16 +359,13 @@ def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
 
     The matrix is cached on the problem as a read-only view; a dense
     kernel's cache shares memory with its entries.
-    Raises :class:`GridTooLarge`, before allocating, when the evaluation
-    would need more than ``MAX_KERNEL_BYTES``: ``8 n_x n_y`` bytes, times
-    ``1 + d`` for a functional kernel.  That counts a radial kernel's
-    differences and over-counts a Gaussian one, which holds one row block
-    of them.  Raises :class:`EvaluationError` for an entry that is not
-    finite, then for one that is negative.
+    Raises :class:`GridTooLarge`, before allocating, when the matrix's
+    ``8 n_x n_y`` bytes exceed ``MAX_KERNEL_BYTES``; :class:`EvaluationError`
+    for a radial profile's negative or non-finite value, and for another
+    kernel's entry that is not finite, then for one that is negative.
     """
     if problem._matrix is None:
-        depth = 1 if isinstance(problem.kernel, DenseKernel) else 1 + problem.x_space.dim
-        need = 8 * problem.n_x * problem.n_y * depth
+        need = 8 * problem.n_x * problem.n_y
         if need > MAX_KERNEL_BYTES:
             raise GridTooLarge(
                 f"a {problem.n_x} x {problem.n_y} kernel needs {need} bytes to evaluate, "
@@ -367,6 +375,8 @@ def kernel_matrix(problem: DiscreteProblem) -> np.ndarray:
         # two reductions when the matrix is sound (a NaN makes its min NaN);
         # the scans that pick the message run only on failure
         if not (mat.min() >= 0.0 and mat.max() < math.inf):
+            if isinstance(problem.kernel, RadialKernel):
+                raise EvaluationError("radial profile returned a negative or non-finite value")
             if not np.isfinite(mat).all():
                 raise EvaluationError("kernel evaluation produced non-finite entries")
             raise EvaluationError("kernel evaluation produced negative entries")

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 # one BLAS thread, set before numpy loads OpenBLAS: the timed tests then
 # measure the program, not how many cores a loaded machine has free
@@ -17,6 +18,21 @@ from schrobridge import (  # noqa: E402
     discretize_gaussian,
     validate_reduction,
 )
+
+
+def peak_bytes(call) -> int:
+    """The most bytes ``call()`` held at once above what it started with, by ``tracemalloc``."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def build_dense_problem(P, mu, nu, x_weights=None, y_weights=None, x_points=None, y_points=None):

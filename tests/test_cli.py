@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from schrobridge import kernel_matrix, load_problem, save_problem, validate_reduction
+from schrobridge import (DiscreteProblem, kernel_matrix, load_problem, make_radial_kernel,
+                         save_problem, validate_reduction)
 from schrobridge.cli import main
 from schrobridge.gaussian import GaussianProblem, discretize_gaussian
 from conftest import build_dense_problem, wide_kernel_problems
@@ -448,6 +449,27 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
     assert "tol must be at least" in _one_error_line(capsys)
 
 
+def _massless_file(tmp_path):
+    """A 3 x 2 problem whose x point 1 carries no mass: reduction keeps x points 0 and 2."""
+    path = tmp_path / "massless.json"
+    save_problem(build_dense_problem([[1.0, 2.0], [9.0, 9.0], [3.0, 4.0]], [0.5, 0.0, 0.5],
+                                     [0.5, 0.5]), str(path))
+    return str(path)
+
+
+def test_ceilings_index_the_x_points_that_carry_mass(tmp_path, capsys):
+    ceiling = tmp_path / "U.json"
+    ceiling.write_text("[1.0, 1.0]")
+    out = tmp_path / "r.json"
+    problem = _massless_file(tmp_path)
+    assert main(["solve", "--input", problem, "--U", str(ceiling), "--output", str(out)]) == 0
+    assert len(read(out)["a"]) == len(read(out)["u_star"]) == 2
+    assert main(["check", "--input", problem, "--moment-U", str(ceiling),
+                 "--output", str(out)]) == 0
+    assert read(out)["moment"]["U_source"] == str(ceiling)
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize(
     "args, content",
     [
@@ -459,6 +481,8 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         # one entry per x point of the 2x2 problem
         (["solve", "--U", "{file}"], "[1.0, 1.0, 1.0]"),
         (["check", "--moment-U", "{file}"], "[1.0, 1.0, 1.0]"),
+        # one entry per x point that carries mass: two of the three
+        (["solve", "--input", "{massless}", "--U", "{file}"], "[1.0, 1.0, 1.0]"),
         (["check", "--domination-witness", "{file}"], '{"K": [0], "c": [1.0]}'),
         (["check", "--moment-r", "0.5"], None),
         # options the chosen path would not read
@@ -498,7 +522,7 @@ def test_solve_tol_below_machine_precision_exit_one(tmp_path, two_by_two_file, c
         (["gaussian-gen", "--input", "{file}"], "[1.0, 1.0, 1.0]"),
     ],
     ids=["U-zero", "U-nan", "U-string", "moment-U-zero", "moment-U-string",
-         "U-wrong-length", "moment-U-wrong-length",
+         "U-wrong-length", "moment-U-wrong-length", "U-per-massless-x-point",
          "witness-without-x", "moment-r-half", "U-sinkhorn", "trace-sinkhorn",
          "moment-U-gaussian", "witness-gaussian", "witness-index-past-end",
          "witness-index-negative", "witness-coefficient-negative", "witness-index-fraction",
@@ -514,7 +538,7 @@ def test_bad_vector_inputs_exit_one(tmp_path, two_by_two_file, capsys, args, con
     if content is not None:
         path.write_bytes(content if isinstance(content, bytes) else content.encode())
     files = {"{file}": str(path), "{triple}": str(tmp_path / "gp.json"),
-             "{triple2d}": str(tmp_path / "gp2.json")}
+             "{triple2d}": str(tmp_path / "gp2.json"), "{massless}": _massless_file(tmp_path)}
     (tmp_path / "gp.json").write_text('{"a": 1.0, "b": 1.0, "c": 1.0}')
     eye = [[1.0, 0.0], [0.0, 1.0]]
     (tmp_path / "gp2.json").write_text(json.dumps({"a": eye, "b": eye, "c": eye}))
@@ -751,21 +775,27 @@ def test_check_reports_the_scaling_certificate(tmp_path, capsys, name):
         assert "scaling certificate  none" in table
 
 
-@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("command", ["check", "solve", "check-radial"])
 def test_kernel_byte_cap_refuses_before_allocating(tmp_path, capsys, monkeypatch, command):
     from schrobridge import problem as problem_module
 
-    # a 9 x 9 grid: an 81 x 81 kernel of 8-byte floats, plus its (81, 81, 2) differences
-    need = 81 * 81 * 8 * 3
+    # a 9 x 9 grid: an 81 x 81 kernel of 8-byte floats, the one matrix a
+    # Gaussian or radial kernel holds besides a row block of differences
+    need = 81 * 81 * 8
     gp = tmp_path / "gp.json"
     eye = [[1.0, 0.0], [0.0, 1.0]]
     gp.write_text(json.dumps({"a": eye, "b": eye, "c": eye}))
     path = tmp_path / "p.json"
     assert main(["gaussian-gen", "--input", str(gp), "--points-per-dim", "9",
                  "--output", str(path)]) == 0
+    gauss = load_problem(str(path))
+    radial = tmp_path / "radial.json"
+    save_problem(DiscreteProblem(gauss.x_space, gauss.y_space, gauss.mu, gauss.nu,
+                                 make_radial_kernel("gaussian")), str(radial))
     out = tmp_path / "r.json"
     argv = {"check": ["check", "--input", str(gp), "--points-per-dim", "9"],
-            "solve": ["solve", "--input", str(path), "--scheme", "fortet"]}[command]
+            "solve": ["solve", "--input", str(path), "--scheme", "fortet"],
+            "check-radial": ["check", "--input", str(radial)]}[command]
     argv += ["--output", str(out)]
     monkeypatch.setattr(problem_module, "MAX_KERNEL_BYTES", need - 1)
     assert main(argv) == 1
@@ -1150,6 +1180,25 @@ def test_dense_reports_keep_their_bytes(tmp_path, two_by_two_file, args, expecte
                         "--U", ones_file(tmp_path, 2)]) == 0
     for name, content in expected.items():
         assert (tmp_path / name).read_bytes() == content
+
+
+# a 5 x 5 grid against a 4 x 4 one in 2-D under the radial exponential
+# profile: the reports and check's table of the one-shot kernel evaluation
+_RADIAL_2D = Path(__file__).parent / "data" / "radial_2d"
+
+
+@pytest.mark.parametrize("entries", [None, 1], ids=["default-blocks", "one-row-blocks"])
+@pytest.mark.parametrize("command", ["solve", "compare", "check"])
+def test_radial_reports_keep_their_bytes(tmp_path, capsys, monkeypatch, command, entries):
+    from schrobridge import problem as problem_module
+
+    if entries is not None:
+        monkeypatch.setattr(problem_module, "ROW_BLOCK_ENTRIES", entries)
+    out = tmp_path / "r.json"
+    assert main([command, "--input", str(_RADIAL_2D / "problem.json"), "--output", str(out)]) == 0
+    assert out.read_bytes() == (_RADIAL_2D / f"{command}.json").read_bytes()
+    table = (_RADIAL_2D / "check.txt").read_text() if command == "check" else ""
+    assert capsys.readouterr() == (table, "")
 
 
 @pytest.mark.parametrize("command, iterations", [("solve", 6), ("compare", 8)])

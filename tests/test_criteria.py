@@ -31,8 +31,10 @@ from schrobridge import (
     sufficient_for_existence,
     validate_reduction,
 )
+from schrobridge import RadialKernel
+from schrobridge import problem as problem_module
 from schrobridge.criteria import _exact_column_sums
-from conftest import build_dense_problem, random_positive_problem
+from conftest import build_dense_problem, peak_bytes, random_positive_problem
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +419,47 @@ def test_full_report_radial_kernel(gaussian_1d_small):
     assert report.radial is not None
     assert report.radial.holds
     assert report.radial.L_found == 0.0
+
+
+def _uniform_problem(x, y, kernel):
+    return DiscreteProblem(
+        x_space=DiscreteSpace(x, np.ones(len(x))), y_space=DiscreteSpace(y, np.ones(len(y))),
+        mu=Marginal(np.full(len(x), 1.0 / len(x))), nu=Marginal(np.full(len(y), 1.0 / len(y))),
+        kernel=kernel)
+
+
+def test_radial_verdict_takes_the_largest_distance_over_every_row_block(monkeypatch):
+    # the farthest pair's x point is the last row, so in one-row blocks it
+    # lies in another block than the first; the bump's cutoff L_found is a
+    # multiple of a hundredth of the largest distance, and the first row's
+    # largest distance gives another one
+    g = np.linspace(1.0, -1.0, 7)
+    x = np.array([(a, b) for a in g for b in g])
+    h = np.linspace(0.0, 2.5, 6)
+    y = np.array([(a, b) for a in h for b in h])
+    dist = np.sqrt(((x[:, None] - y[None]) ** 2).sum(2))
+    assert np.unravel_index(dist.argmax(), dist.shape)[0] == len(x) - 1
+    bump = lambda r: np.exp(-((r - 1.0) ** 2))  # noqa: E731
+
+    def verdict(top):
+        t = np.linspace(0.0, top, 512)
+        return check_radial(t, bump(t), np.linspace(0.0, top, 101))
+
+    expected = verdict(dist.max())
+    assert expected.holds and expected != verdict(dist[0].max())
+    for entries in (problem_module.ROW_BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(problem_module, "ROW_BLOCK_ENTRIES", entries)
+        report = full_report(_uniform_problem(x, y, RadialKernel(profile=bump)))
+        assert report.radial == expected
+
+
+def test_full_report_of_a_radial_kernel_holds_one_row_block():
+    # 801 points in 1-D: the largest distance is read over blocks of 81 rows,
+    # not from the whole (n_x, n_y, d) differences (about 15 MiB)
+    grid = np.linspace(-4.0, 4.0, 801)[:, None]
+    problem = _uniform_problem(grid, grid, make_radial_kernel("gaussian"))
+    kernel_matrix(problem)
+    assert peak_bytes(lambda: full_report(problem)) <= 2 * 2**20
 
 
 def test_full_report_with_witnesses(two_by_two):

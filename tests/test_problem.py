@@ -27,11 +27,11 @@ from schrobridge import (
 )
 from schrobridge import problem as problem_module
 from schrobridge.problem import _gaussian_log_norm
-from conftest import build_dense_problem
+from conftest import build_dense_problem, peak_bytes
 
 
 def _functional_problem(kernel, x_points, y_points):
-    """``kernel`` on 1-D grids with unit reference weights and uniform marginals."""
+    """``kernel`` on the grids with unit reference weights and uniform marginals."""
     nx, ny = len(x_points), len(y_points)
     return DiscreteProblem(
         x_space=DiscreteSpace(np.asarray(x_points, float), np.ones(nx)),
@@ -346,19 +346,26 @@ def test_reduction_slices_a_dense_kernel():
     assert res.continuity == "asserted-not-checked"
 
 
-@pytest.mark.parametrize("c, n", [([[1.0]], 801), ([[2.0, 0.3], [0.3, 0.5]], 60),
-                                  ([[1.5, 0.2, -0.1], [0.2, 0.8, 0.3], [-0.1, 0.3, 2.0]], 45),
-                                  ([[1.0]], 1)],
-                         ids=["1-D", "2-D", "3-D", "1-point"])
+_KERNEL_GRIDS = pytest.mark.parametrize(
+    "c, n", [([[1.0]], 801), ([[2.0, 0.3], [0.3, 0.5]], 60),
+             ([[1.5, 0.2, -0.1], [0.2, 0.8, 0.3], [-0.1, 0.3, 2.0]], 45), ([[1.0]], 1)],
+    ids=["1-D", "2-D", "3-D", "1-point"])
+
+
+def _random_grids(n, d):
+    rng = np.random.default_rng(5)
+    return rng.normal(0.0, 3.0, (n, d)), rng.normal(0.0, 3.0, (n + 7, d))
+
+
+@_KERNEL_GRIDS
 def test_gaussian_kernel_keeps_the_bits_of_the_density_formula(c, n, monkeypatch):
     # the kernel is evaluated in place, in row blocks; each entry keeps the
     # bits of norm * exp(-0.5 * quad), computed out of place, and of the
     # one-shot einsum over the whole (n_x, n_y, d) array of differences.
-    # Blocks: the default (801 rows of 808 are 9 blocks of 81 and one of
-    # 72), one row, and 3 rows
-    rng = np.random.default_rng(5)
-    x = rng.normal(0.0, 3.0, (n, len(c)))
-    y = rng.normal(0.0, 3.0, (n + 7, len(c)))
+    # A block holds about ROW_BLOCK_ENTRIES differences: the default (in
+    # 1-D, 801 rows of 808 are 9 blocks of 81 and one of 72), one row, and
+    # 3 rows of n + 7 points in d dimensions
+    x, y = _random_grids(n, len(c))
     c = np.array(c)
     diff = y[None, :, :] - x[:, None, :]
     quad = np.einsum("ijk,kl,ijl->ij", diff, c, diff)
@@ -366,9 +373,38 @@ def test_gaussian_kernel_keeps_the_bits_of_the_density_formula(c, n, monkeypatch
     one_shot = np.exp(np.einsum("ijk,kl,ijl->ij", diff, -0.5 * c, diff)) * np.exp(
         _gaussian_log_norm(c))
     assert np.array_equal(one_shot, expected)
-    for entries in (problem_module.ROW_BLOCK_ENTRIES, 1, 3 * (n + 7)):
+    for entries in (problem_module.ROW_BLOCK_ENTRIES, 1, 3 * (n + 7) * len(c)):
         monkeypatch.setattr(problem_module, "ROW_BLOCK_ENTRIES", entries)
         assert np.array_equal(GaussianKernel(c).evaluate(x, y), expected)
+
+
+@_KERNEL_GRIDS
+@pytest.mark.parametrize("name, params", [("gaussian", {"sigma": 1.3}),
+                                          ("exponential", {"rate": 0.7})])
+def test_radial_kernel_keeps_the_bits_of_the_one_shot_profile(c, n, name, params, monkeypatch):
+    # the radial kernel is built over the same row blocks as the Gaussian
+    # one; each entry keeps the bits of the profile of the one-shot
+    # distances over the whole (n_x, n_y, d) array
+    x, y = _random_grids(n, len(c))
+    kernel = make_radial_kernel(name, **params)
+    expected = kernel.profile(np.sqrt(((x[:, None] - y[None]) ** 2).sum(2)))
+    for entries in (problem_module.ROW_BLOCK_ENTRIES, 1, 3 * (n + 7) * len(c)):
+        monkeypatch.setattr(problem_module, "ROW_BLOCK_ENTRIES", entries)
+        assert np.array_equal(kernel.evaluate(x, y), expected)
+        assert np.array_equal(kernel_matrix(_functional_problem(kernel, x, y)), expected)
+
+
+def test_radial_kernel_matrix_holds_one_matrix_and_one_row_block():
+    # 801 points in 1-D: the 4.9 MiB matrix and blocks of 81 rows (the whole
+    # (n_x, n_y, d) differences and their square would peak near 20 MiB)
+    grid = np.linspace(-4.0, 4.0, 801)
+    line = _functional_problem(make_radial_kernel("gaussian"), grid, grid)
+    assert peak_bytes(lambda: kernel_matrix(line)) <= 8 * 2**20
+    # 40 points in d = 2000: a 12.8 kB matrix and one-row blocks of 640 kB
+    # (the whole differences are 25.6 MB)
+    points = np.random.default_rng(3).normal(0.0, 0.01, (40, 2000))
+    wide = _functional_problem(make_radial_kernel("gaussian"), points, points)
+    assert peak_bytes(lambda: kernel_matrix(wide)) <= 2_000_000
 
 
 class _TableKernel:
