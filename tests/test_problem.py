@@ -380,7 +380,8 @@ def test_gaussian_kernel_keeps_the_bits_of_the_density_formula(c, n, monkeypatch
 
 @_KERNEL_GRIDS
 @pytest.mark.parametrize("name, params", [("gaussian", {"sigma": 1.3}),
-                                          ("exponential", {"rate": 0.7})])
+                                          ("exponential", {"rate": 0.7})],
+                         ids=["gaussian", "exponential"])
 def test_radial_kernel_keeps_the_bits_of_the_one_shot_profile(c, n, name, params, monkeypatch):
     # the radial kernel is built over the same row blocks as the Gaussian
     # one; each entry keeps the bits of the profile of the one-shot
