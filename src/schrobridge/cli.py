@@ -75,6 +75,7 @@ from . import criteria as crit
 from . import fortet as ft
 from . import gaussian as gs
 from .problem import (
+    FORMATS,
     DiscreteProblem,
     EvaluationError,
     ParseError,
@@ -89,6 +90,7 @@ from .problem import (
     load_problem,
     problem_from_dict,
     problem_to_dict,
+    read_document,
     row_blocks,
     validate_reduction,
 )
@@ -193,14 +195,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     if args.moment_r is not None and args.moment_U is None:
         raise ValidationError("--moment-r applies only with --moment-U")
-    if args.format == "json":
-        obj = _read_json(args.input)
-        gaussian = _discretize(args, obj)
-        if gaussian is not None:
-            return _check_gaussian(args, *gaussian)
-        problem = validate_reduction(problem_from_dict(obj))
-    else:
-        problem = _load_validated(args)
+    obj = read_document(args.input, args.format)
+    gaussian = _discretize(args, obj)  # None for a problem document, a bundle's included
+    if gaussian is not None:
+        return _check_gaussian(args, *gaussian)
+    problem = validate_reduction(problem_from_dict(obj))
     domination = None
     if args.domination_witness is not None:
         path = args.domination_witness
@@ -382,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     files.add_argument("--input", required=True)
     files.add_argument("--output")
     fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["json", "csv-bundle"], default="json")
+    fmt.add_argument("--format", choices=tuple(FORMATS), default="json")
     fortet = argparse.ArgumentParser(add_help=False)
     fortet.add_argument("--max-iter", type=int, default=100_000)
     fortet.add_argument("--U", help="JSON file with a ceiling vector: runs the clamp from it "

@@ -59,9 +59,9 @@ _TINY = 2.0**-1074  # the smallest subnormal double
 class PreconditionFailed(RuntimeError):
     """A prerequisite finiteness check failed.
 
-    ``part`` is "psi" when the ceiling or its dual psi(U) is not finite
-    positive, "phi" when phi(U) is not finite; ``index`` locates the
-    offending grid point.
+    ``part`` is "psi" when the ceiling U is not finite and strictly positive;
+    ``index`` locates the offending grid point.  A psi(U) or phi(U) past the
+    overflow guard raises :class:`~schrobridge.extnum.ExtOverflowError` instead.
     """
 
     def __init__(self, part: str, index: int):
@@ -388,9 +388,9 @@ def check_moment_condition(
 ) -> MomentConditionResult:
     """Evaluate the exponential-moment condition for a ceiling U.
 
-    ``U`` must be finite and strictly positive (else
-    :class:`PreconditionFailed` names the first bad index), so psi(U) and
-    phi(U) are finite.  Reports the smallest admissible constant
+    ``U`` must be finite and strictly positive (else :class:`PreconditionFailed`
+    names the first bad index); an overflowing psi(U) or phi(U) raises
+    ``ExtOverflowError``.  Reports the smallest admissible constant
 
         c = max_i [ sum_j (P[i,j]/P[x_o,j])^r P[x_o,j] psi(U)_j^{-1} nu_j ] / U_i^r
 

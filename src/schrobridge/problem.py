@@ -561,15 +561,25 @@ def problem_from_dict(obj: dict) -> DiscreteProblem:
         raise SchemaError(str(exc)) from exc
 
 
-def save_problem(problem: DiscreteProblem, path: str, format: str = "json") -> None:
-    """Write a problem to disk as JSON with sorted keys (the bytes ``gaussian-gen``
-    writes) or as a CSV bundle directory."""
-    if format == "json":
-        _write_report(problem_to_dict(problem), path)
-    elif format == "csv-bundle":
-        _save_csv_bundle(problem, path)
-    else:
+def read_document(path: str, format: str = "json"):
+    """The document in the file at ``path``, read in one of :data:`FORMATS`; a CSV
+    bundle holds the problem document that :func:`problem_to_dict` makes."""
+    if format not in FORMATS:
         raise ValueError(f"unknown format {format!r}")
+    return FORMATS[format][0](path)
+
+
+def save_problem(problem: DiscreteProblem, path: str, format: str = "json") -> None:
+    """Write a problem's document to disk: as JSON with sorted keys (the bytes
+    ``gaussian-gen`` writes) or as a CSV bundle directory."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown format {format!r}")
+    FORMATS[format][1](problem_to_dict(problem), path)
+
+
+def load_problem(path: str, format: str = "json") -> DiscreteProblem:
+    """Read a problem from disk; inverse of :func:`save_problem`."""
+    return problem_from_dict(read_document(path, format))
 
 
 def _read_json(path: str):
@@ -581,15 +591,6 @@ def _read_json(path: str):
         raise ParseError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
-
-
-def load_problem(path: str, format: str = "json") -> DiscreteProblem:
-    """Read a problem from disk; inverse of :func:`save_problem`."""
-    if format == "json":
-        return problem_from_dict(_read_json(path))
-    if format == "csv-bundle":
-        return _load_csv_bundle(path)
-    raise ValueError(f"unknown format {format!r}")
 
 
 def _dumps(obj, level: int = 0) -> str:
@@ -646,21 +647,21 @@ def _write_csv(path: str, rows) -> None:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
-def _save_csv_bundle(problem: DiscreteProblem, dirpath: str) -> None:
-    if not isinstance(problem.kernel, DenseKernel):
+def _save_csv_bundle(doc: dict, dirpath: str) -> None:
+    """Write a dense problem's document as a bundle: ``x/`` and ``y/`` with
+    ``points.csv`` and ``weights.csv``, then ``marginals.csv`` and ``kernel.csv``."""
+    if doc["kernel"]["kind"] != "dense-matrix":
         raise SchemaError("csv-bundle supports dense kernels only")
-    for sub, space in (("x", problem.x_space), ("y", problem.y_space)):
+    for sub in ("x", "y"):
+        space = doc[f"{sub}_space"]
         os.makedirs(os.path.join(dirpath, sub), exist_ok=True)
-        _write_csv(os.path.join(dirpath, sub, "points.csv"),
-                   [[float(v) for v in p] for p in space.points])
-        _write_csv(os.path.join(dirpath, sub, "weights.csv"),
-                   [[float(w)] for w in space.weights])
+        _write_csv(os.path.join(dirpath, sub, "points.csv"), space["points"])
+        _write_csv(os.path.join(dirpath, sub, "weights.csv"), [[w] for w in space["weights"]])
     rows = [["space", "index", "weight"]]
-    rows += [["x", i, float(w)] for i, w in enumerate(problem.mu.weights)]
-    rows += [["y", j, float(w)] for j, w in enumerate(problem.nu.weights)]
+    rows += [["x", i, w] for i, w in enumerate(doc["mu"])]
+    rows += [["y", j, w] for j, w in enumerate(doc["nu"])]
     _write_csv(os.path.join(dirpath, "marginals.csv"), rows)
-    _write_csv(os.path.join(dirpath, "kernel.csv"),
-               [[float(v) for v in row] for row in problem.kernel.entries])
+    _write_csv(os.path.join(dirpath, "kernel.csv"), doc["kernel"]["entries"])
 
 
 def _read_csv(path: str) -> list[list[str]]:
@@ -681,24 +682,24 @@ def _float_cell(cell: str, path: str, line: int) -> float:
     return v
 
 
-def _load_csv_bundle(dirpath: str) -> DiscreteProblem:
-    """The bundle's problem.  A cell that does not parse, or a ``marginals.csv``
-    space other than ``x`` and ``y``, raises ParseError; a mass index out of
-    range, repeated or missing raises SchemaError; each names the file."""
-    spaces = {}
+def _float_rows(path: str) -> list[list[float]]:
+    return [[_float_cell(c, path, i + 1) for c in row] for i, row in enumerate(_read_csv(path))]
+
+
+def _load_csv_bundle(dirpath: str) -> dict:
+    """The problem document of the bundle at ``dirpath``, each mass placed by
+    its index.  A cell that does not parse, or a ``marginals.csv`` space other
+    than ``x`` and ``y``, raises ParseError; a mass index out of range,
+    repeated or missing raises SchemaError; each names the file.  The
+    problem's own rules are :func:`problem_from_dict`'s, as for JSON."""
+    doc, masses = {}, {}  # a mass is None until its line is read
     for sub in ("x", "y"):
-        ppath = os.path.join(dirpath, sub, "points.csv")
         wpath = os.path.join(dirpath, sub, "weights.csv")
-        pts = [[_float_cell(c, ppath, i + 1) for c in row]
-               for i, row in enumerate(_read_csv(ppath))]
-        wts = [_float_cell(row[0], wpath, i + 1)
-               for i, row in enumerate(_read_csv(wpath))]
-        try:
-            spaces[sub] = DiscreteSpace(np.array(pts), np.array(wts))
-        except ValidationError as exc:
-            raise SchemaError(f"{dirpath}/{sub}: {exc}") from exc
+        points = _float_rows(os.path.join(dirpath, sub, "points.csv"))
+        weights = [_float_cell(row[0], wpath, i + 1) for i, row in enumerate(_read_csv(wpath))]
+        doc[f"{sub}_space"] = {"points": points, "weights": weights}
+        masses[sub] = [None] * len(points)
     mpath = os.path.join(dirpath, "marginals.csv")
-    masses = {sub: np.full(space.size, np.nan) for sub, space in spaces.items()}  # NaN: unset
     for i, row in enumerate(_read_csv(mpath)):
         line = i + 1
         if i == 0 and row[0] == "space":
@@ -713,25 +714,22 @@ def _load_csv_bundle(dirpath: str) -> DiscreteProblem:
             raise ParseError(f"{mpath}: line {line}: bad index {row[1]!r}") from exc
         w = _float_cell(row[2], mpath, line)
         side = masses[row[0]]
-        if not 0 <= idx < side.size:
-            raise SchemaError(f"{mpath}: line {line}: index {idx} outside [0, {side.size})")
-        if not np.isnan(side[idx]):
+        if not 0 <= idx < len(side):
+            raise SchemaError(f"{mpath}: line {line}: index {idx} outside [0, {len(side)})")
+        if side[idx] is not None:
             raise SchemaError(f"{mpath}: line {line}: index {idx} of space {row[0]!r} repeated")
         side[idx] = w
     for sub, side in masses.items():
-        if np.isnan(side).any():
-            raise SchemaError(f"{mpath}: no mass for index {np.argmax(np.isnan(side))} "
-                              f"of space {sub!r}")
-    kpath = os.path.join(dirpath, "kernel.csv")
-    entries = [[_float_cell(c, kpath, i + 1) for c in row]
-               for i, row in enumerate(_read_csv(kpath))]
-    try:
-        return DiscreteProblem(
-            x_space=spaces["x"],
-            y_space=spaces["y"],
-            mu=Marginal(masses["x"]),
-            nu=Marginal(masses["y"]),
-            kernel=DenseKernel(np.array(entries)),
-        )
-    except ValidationError as exc:
-        raise SchemaError(f"{dirpath}: {exc}") from exc
+        if None in side:
+            raise SchemaError(f"{mpath}: no mass for index {side.index(None)} of space {sub!r}")
+    entries = _float_rows(os.path.join(dirpath, "kernel.csv"))
+    return {**doc, "mu": masses["x"], "nu": masses["y"],
+            "kernel": {"kind": "dense-matrix", "entries": entries}}
+
+
+#: Problem file formats: each name's reader of the document at a path, and
+#: writer of a document to a path.
+FORMATS = {
+    "json": (_read_json, _write_report),
+    "csv-bundle": (_load_csv_bundle, _save_csv_bundle),
+}

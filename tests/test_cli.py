@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -1032,6 +1033,111 @@ def test_bad_csv_bundle_kernel_cell_exit_one(tmp_path, capsys, cell, message):
                  "--output", str(out)]) == 1
     assert _one_error_line(capsys).endswith(message)
     assert not out.exists()
+
+
+def _problem_doc(**fields):
+    """The 2x2 problem document on the points 0 and 1, with ``fields`` replaced."""
+    space = {"points": [[0.0], [1.0]], "weights": [1.0, 1.0]}
+    return {"x_space": space, "y_space": space, "mu": [0.5, 0.5], "nu": [0.5, 0.5],
+            "kernel": {"kind": "dense-matrix", "entries": [[1.0, 2.0], [3.0, 4.0]]}, **fields}
+
+
+def _write_bundle(doc, dirpath):
+    """Write a dense problem document as the files of a CSV bundle, unvalidated."""
+    files = {"kernel.csv": doc["kernel"]["entries"],
+             "marginals.csv": [["space", "index", "weight"]]
+             + [["x", i, w] for i, w in enumerate(doc["mu"])]
+             + [["y", j, w] for j, w in enumerate(doc["nu"])]}
+    for sub in "xy":
+        files[f"{sub}/points.csv"] = doc[f"{sub}_space"]["points"]
+        files[f"{sub}/weights.csv"] = [[w] for w in doc[f"{sub}_space"]["weights"]]
+    for name, rows in files.items():
+        path = dirpath / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+
+
+_TWO_POINTS = [[0.0], [1.0]]
+
+# cells that parse, in documents that break a problem rule
+_INVALID_BUNDLES = {
+    "weight-zero": ({"x_space": {"points": _TWO_POINTS, "weights": [1.0, 0.0]}},
+                    "x_space: reference weights must be finite and positive"),
+    "weights-longer": ({"y_space": {"points": _TWO_POINTS, "weights": [1.0, 1.0, 1.0]}},
+                       "y_space: weights must align with points"),
+    "mass-not-one": ({"mu": [0.5, 0.4]}, "marginal mass 0.9 is not 1 within 1e-12"),
+    "entry-negative": ({"kernel": {"kind": "dense-matrix", "entries": [[1.0, -2.0], [3.0, 4.0]]}},
+                       "dense kernel entries must be finite and nonnegative"),
+    "kernel-2x3": ({"kernel": {"kind": "dense-matrix", "entries": [[1.0, 2.0, 3.0]] * 2}},
+                   "dense kernel shape does not match the grids"),
+    # ragged rows are refused as JSON lists of unequal length are
+    "kernel-ragged": ({"kernel": {"kind": "dense-matrix", "entries": [[1.0, 2.0], [3.0]]}},
+                      "kernel.entries must be numbers in lists of equal length"),
+    "points-ragged": ({"x_space": {"points": [[0.0], [1.0, 2.0]], "weights": [1.0, 1.0]}},
+                      "x_space.points must be numbers in lists of equal length"),
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "check"])
+@pytest.mark.parametrize("name", list(_INVALID_BUNDLES))
+def test_invalid_bundle_answers_like_its_json_twin(tmp_path, capsys, name, command):
+    fields, message = _INVALID_BUNDLES[name]
+    doc = _problem_doc(**fields)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    _write_bundle(doc, tmp_path / "bundle")
+    for argv in (["--input", str(path)],
+                 ["--input", str(tmp_path / "bundle"), "--format", "csv-bundle"]):
+        assert main([command, *argv]) == 1
+        assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+def test_bundle_without_x_points_exit_one(tmp_path, capsys):
+    _write_bundle(_problem_doc(), tmp_path / "bundle")
+    missing = tmp_path / "bundle" / "x" / "points.csv"
+    missing.unlink()
+    assert main(["check", "--input", str(tmp_path / "bundle"), "--format", "csv-bundle"]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {missing}: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+# refusals of a problem file, each with its one error line (a negative entry
+# and a kernel of the wrong shape are in _INVALID_BUNDLES)
+_REFUSED_FILES = {
+    "c-not-square": (_problem_doc(kernel={"kind": "gaussian", "c": [[1.0, 0.0]]}),
+                     "gaussian kernel precision must be a square matrix"),
+    "mu-empty": (_problem_doc(mu=[]), "marginal must be a nonempty vector"),
+    "entries-1d": (_problem_doc(kernel={"kind": "dense-matrix", "entries": [1.0, 2.0]}),
+                   "dense kernel entries must form a matrix"),
+    "profile-cauchy": (_problem_doc(kernel=_radial("cauchy")),
+                       "unknown radial profile 'cauchy'; known: ['exponential', 'gaussian']"),
+    "nu-short": (_problem_doc(nu=[1.0]), "nu must have one weight per y point"),
+    "gaussian-1d-2d": (_problem_doc(y_space={"points": [[0.0, 0.0], [1.0, 0.0]],
+                                             "weights": [1.0, 1.0]},
+                                    kernel={"kind": "gaussian", "c": [[1.0]]}),
+                       "functional kernels require grids of equal dimension"),
+    "kind-sparse": (_problem_doc(kernel={"kind": "sparse"}), "unknown kernel kind 'sparse'"),
+    "list": ([_problem_doc()], "problem document must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("name", list(_REFUSED_FILES))
+def test_refused_problem_file_exits_with_its_line(tmp_path, capsys, name, command):
+    doc, message = _REFUSED_FILES[name]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, "--input", str(path)]) == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "gaussian-gen"])
+def test_triple_with_an_infinite_entry_exit_one(tmp_path, capsys, command):
+    path = tmp_path / "t.json"
+    path.write_text('{"a": [[1e999]], "b": [[1.0]], "c": [[1.0]]}')
+    assert main([command, "--input", str(path)]) == 1
+    assert _one_error_line(capsys) == "error: bad gaussian problem: a must be finite\n"
 
 
 def test_solve_sinkhorn_out_of_budget_exit_three(tmp_path, two_by_two_file):

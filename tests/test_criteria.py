@@ -255,6 +255,13 @@ def test_domination_witness_on_a_2d_gaussian_grid(points, a):
     assert check_compact_domination(problem, K, x_idx, coeffs).holds
 
 
+def test_witness_search_without_a_witness_returns_none():
+    # on the identity kernel, column 1 is seen from row 1 alone, and the 1-D
+    # candidates are the extreme points 0 and 2 of K
+    problem = build_dense_problem(np.eye(3), [1 / 3] * 3, [1 / 3] * 3)
+    assert suggest_domination_witness(problem, K_indices=[0, 1, 2]) is None
+
+
 def test_domination_input_validation(two_by_two):
     with pytest.raises(ValueError):
         check_compact_domination(two_by_two, [], [0], [1.0])
@@ -387,6 +394,11 @@ def test_radial_oscillation_never_settles():
     res = check_radial(t, 2.0 + np.sin(t), L_candidates=np.linspace(0.0, 13.0, 27))
     assert not res.holds
     assert res.L_found is None
+
+
+def test_radial_rejects_misaligned_samples():
+    with pytest.raises(ValueError, match="^t_samples and theta_values must be aligned vectors$"):
+        check_radial([0.0, 1.0], [1.0], L_candidates=[0.0])
 
 
 def test_radial_rejects_nonpositive_profile():

@@ -172,6 +172,17 @@ def test_restricted_normalization_with_structural_zeros():
     assert lhs == pytest.approx(2 * third, abs=1e-14)
 
 
+def test_psi_refuses_a_potential_of_the_wrong_shape(two_by_two):
+    with pytest.raises(ValueError, match=r"^potential has shape \(3,\), expected \(2,\)$"):
+        psi(two_by_two, np.ones(3))
+
+
+def test_restricted_normalization_refuses_an_infinite_phi(two_by_two):
+    # psi(inf) is 0 everywhere, so phi(inf) is infinite
+    with pytest.raises(NonFiniteIntermediate, match="^phi has infinite entries$"):
+        restricted_normalization(two_by_two, np.array([INF, INF]))
+
+
 def test_restricted_normalization_all_zero(two_by_two):
     lhs, rhs = restricted_normalization(two_by_two, np.zeros(2))
     assert lhs == 0.0

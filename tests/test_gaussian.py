@@ -47,6 +47,13 @@ def test_density_rejects_non_spd():
         gauss_density([[1.0, 0.5], [0.2, 1.0]], [0.0, 0.0])
 
 
+def test_density_and_convolution_refuse_mismatched_dimensions():
+    with pytest.raises(DimensionMismatch, match=r"^z has shape \(2,\), expected \(1,\)$"):
+        gauss_density([[1.0]], [0.0, 0.0])
+    with pytest.raises(DimensionMismatch, match="^c and alpha must share one dimension$"):
+        gauss_convolve_precision([[1.0]], np.eye(2))
+
+
 def test_convolve_scalars():
     out = gauss_convolve_precision([[1.0]], [[1.0]])
     assert out[0, 0] == pytest.approx(0.5, abs=1e-15)

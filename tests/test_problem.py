@@ -219,6 +219,49 @@ def test_csv_bundle_rejects_functional_kernels(tmp_path, gaussian_1d_small):
         save_problem(gaussian_1d_small, str(tmp_path / "b"), format="csv-bundle")
 
 
+_BUNDLED = {
+    "zero-entries": build_dense_problem([[0.3, 0.0, 1.7], [0.0, 2.5, 1e-300]],
+                                        [1 / 3, 2 / 3], [0.1, 0.2, 0.7]),
+    "massless-atom": build_dense_problem([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+                                         [0.5, 0.0, 0.5], [1 / 3, 2 / 3],
+                                         x_weights=[0.5, 1.0, 2.0]),
+    "2d-points": build_dense_problem([[1.0, 0.5], [0.25, 2.0]], [0.4, 0.6], [0.5, 0.5],
+                                     x_points=[[0.0, 1.0], [-0.1, 2.0 / 3.0]],
+                                     y_points=[[1e-7, 3.0], [5.0, -2.5]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_BUNDLED))
+def test_csv_bundle_holds_the_json_document(tmp_path, name):
+    # a bundle is the document in CSV: loaded back, it saves the bytes of a direct JSON save
+    problem = _BUNDLED[name]
+    save_problem(problem, str(tmp_path / "bundle"), format="csv-bundle")
+    save_problem(load_problem(str(tmp_path / "bundle"), format="csv-bundle"),
+                 str(tmp_path / "via-bundle.json"))
+    save_problem(problem, str(tmp_path / "direct.json"))
+    assert (tmp_path / "via-bundle.json").read_bytes() == (tmp_path / "direct.json").read_bytes()
+
+
+@pytest.mark.parametrize("save", [True, False], ids=["save", "load"])
+def test_unknown_format_is_refused(tmp_path, two_by_two, save):
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        if save:
+            save_problem(two_by_two, str(tmp_path / "p.xml"), format="xml")
+        else:
+            load_problem(str(tmp_path / "p.xml"), format="xml")
+
+
+def test_space_refuses_infinite_points():
+    with pytest.raises(ValidationError, match="^points must be finite$"):
+        DiscreteSpace([[math.inf]], [1.0])
+
+
+def test_radial_profile_that_is_not_elementwise_raises():
+    problem = _functional_problem(RadialKernel(profile=lambda t: 1.0), [[0.0], [1.0]], [[0.0]])
+    with pytest.raises(EvaluationError, match="^radial profile must evaluate elementwise$"):
+        kernel_matrix(problem)
+
+
 def test_negative_weight_is_schema_error(tmp_path):
     doc = {
         "x_space": {"points": [[0.0]], "weights": [1.0]},
