@@ -55,7 +55,6 @@ from .criteria import (
     CriteriaReport,
     DIVERGENCE_GUARD,
     NoScaling,
-    PreconditionFailed,
     ScalingCertificate,
     check_integral_criterion,
     check_compact_domination,

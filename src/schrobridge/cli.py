@@ -24,7 +24,8 @@ and positive, a ``--moment-r`` not above 1 or without ``--moment-U``, a
 ``--finite-guard`` not positive, a ``--gap-tol`` negative or NaN, a
 grid with ``--points-per-dim`` not odd and at least 3,
 ``--half-width-sigmas`` not positive, or more points than
-``gaussian.MAX_GRID_POINTS``, a kernel larger than
+``gaussian.MAX_GRID_POINTS``, either grid option in a ``check`` of a
+problem file, a kernel larger than
 ``problem.MAX_KERNEL_BYTES``, and a problem with no solution: before a
 Fortet run (``solve --scheme fortet``, ``compare``) a kernel
 with a zero entry is checked for a scaling certificate
@@ -120,16 +121,16 @@ def _load_ceiling(path: str, problem: DiscreteProblem) -> np.ndarray:
         vec = _number_array(obj)
     except ValueError as exc:
         raise ValidationError(f"{path}: a ceiling must be a list of numbers") from exc
-    if vec.shape != (problem.n_x,):
-        raise ValidationError(f"{path}: a ceiling needs one entry per x point ({problem.n_x})")
-    if not (np.isfinite(vec).all() and (vec > 0).all()):
-        raise ValidationError(f"{path}: ceiling entries must be finite and strictly positive")
-    return vec
+    try:
+        return ft._check_positive_finite(vec, "a ceiling", problem.n_x)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _discretize(args: argparse.Namespace, obj):
-    """``(gp, points_per_dim, problem)``: the Gaussian triple ``obj`` on the grid
-    the options ask for, or None when ``obj`` is not a triple."""
+    """``(gp, grid, problem)``: the Gaussian triple ``obj`` on the grid the
+    options ask for, with ``grid`` its ``points_per_dim`` and
+    ``half_width_sigmas``, or None when ``obj`` is not a triple."""
     if not (isinstance(obj, dict) and {"a", "b", "c"} <= obj.keys()):
         return None
     try:
@@ -137,11 +138,12 @@ def _discretize(args: argparse.Namespace, obj):
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"bad gaussian problem: {exc}") from exc
     pts = {1: 201, 2: 31}.get(gp.dim, 11) if args.points_per_dim is None else args.points_per_dim
+    width = 6.0 if args.half_width_sigmas is None else args.half_width_sigmas
     try:
-        problem = gs.discretize_gaussian(gp, args.half_width_sigmas, pts)
+        problem = gs.discretize_gaussian(gp, width, pts)
     except ValueError as exc:
         raise ValidationError(f"bad grid: {exc}") from exc
-    return gp, pts, problem
+    return gp, {"points_per_dim": pts, "half_width_sigmas": width}, problem
 
 
 def _run_fortet(args: argparse.Namespace, problem: DiscreteProblem,
@@ -199,6 +201,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     gaussian = _discretize(args, obj)  # None for a problem document, a bundle's included
     if gaussian is not None:
         return _check_gaussian(args, *gaussian)
+    if args.points_per_dim is not None or args.half_width_sigmas is not None:
+        raise ValidationError("--points-per-dim and --half-width-sigmas need a gaussian "
+                              "triple, not a problem file")
     problem = validate_reduction(problem_from_dict(obj))
     domination = None
     if args.domination_witness is not None:
@@ -228,7 +233,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     return _finish_check(args, payload, crit.sufficient_for_existence(report))
 
 
-def _check_gaussian(args: argparse.Namespace, gp: gs.GaussianProblem, pts: int,
+def _check_gaussian(args: argparse.Namespace, gp: gs.GaussianProblem, grid: dict,
                     problem: DiscreteProblem) -> int:
     if args.moment_U is not None or args.domination_witness is not None:
         raise ValidationError("--moment-U and --domination-witness need a problem file, "
@@ -241,7 +246,7 @@ def _check_gaussian(args: argparse.Namespace, gp: gs.GaussianProblem, pts: int,
         "command": "check",
         "mode": "gaussian",
         "matrix_criterion": asdict(mc),
-        "discretization": {"points_per_dim": pts, "half_width_sigmas": args.half_width_sigmas},
+        "discretization": grid,
         "integral": asdict(integral),
     }
     return _finish_check(
@@ -388,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      "instead of the plain scheme")
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument("--points-per-dim", type=int)
-    grid.add_argument("--half-width-sigmas", type=float, default=6.0)
+    grid.add_argument("--half-width-sigmas", type=float)
 
     p_solve = sub.add_parser("solve", parents=[files, fmt, fortet], help="solve a problem file")
     p_solve.add_argument("--scheme", choices=["fortet", "sinkhorn"], default="fortet")

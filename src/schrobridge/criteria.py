@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .extnum import INF, OVERFLOW_LIMIT
-from .fortet import phi, psi
+from .fortet import _check_positive_finite, phi, psi
 from .problem import (
     MARGINAL_MASS_TOL,
     DenseKernel,
@@ -54,20 +54,6 @@ DIVERGENCE_GUARD = 1e15
 
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1074  # the smallest subnormal double
-
-
-class PreconditionFailed(RuntimeError):
-    """A prerequisite finiteness check failed.
-
-    ``part`` is "psi" when the ceiling U is not finite and strictly positive;
-    ``index`` locates the offending grid point.  A psi(U) or phi(U) past the
-    overflow guard raises :class:`~schrobridge.extnum.ExtOverflowError` instead.
-    """
-
-    def __init__(self, part: str, index: int):
-        super().__init__(f"finiteness precondition ({part}) failed at index {index}")
-        self.part = part
-        self.index = index
 
 
 @dataclass(frozen=True)
@@ -133,7 +119,8 @@ class ScalingCertificate:
 class NoScaling(ValidationError):
     """A verified :class:`ScalingCertificate`: the problem has no solution.
 
-    Shaped like :class:`~schrobridge.problem.IrreducibleProblem`, whose
+    The message names the x points S, the y points N(S) they reach and the
+    two masses.  :class:`~schrobridge.problem.IrreducibleProblem`'s
     unreachable x point i is the special case S = {i}, N(S) empty.
     """
 
@@ -146,9 +133,6 @@ class NoScaling(ValidationError):
             f"mass {c.mass!r}, {relation} the mass {c.reach_mass!r} of the y points "
             f"{list(c.reach)} they reach{tail}"
         )
-        self.side = c.side
-        self.indices = list(c.indices)
-        self.certificate = c
 
 
 @dataclass(frozen=True)
@@ -388,8 +372,8 @@ def check_moment_condition(
 ) -> MomentConditionResult:
     """Evaluate the exponential-moment condition for a ceiling U.
 
-    ``U`` must be finite and strictly positive (else :class:`PreconditionFailed`
-    names the first bad index); an overflowing psi(U) or phi(U) raises
+    ``U`` must hold one finite, strictly positive entry per x point (else
+    ``ValueError``); an overflowing psi(U) or phi(U) raises
     ``ExtOverflowError``.  Reports the smallest admissible constant
 
         c = max_i [ sum_j (P[i,j]/P[x_o,j])^r P[x_o,j] psi(U)_j^{-1} nu_j ] / U_i^r
@@ -398,12 +382,9 @@ def check_moment_condition(
     rules, and holds iff c is finite.  The verdict is invariant under
     scaling U -> kappa U.
     """
+    U = _check_positive_finite(U, "ceiling U", problem.n_x)
     if r <= 1.0:
         raise ValueError("r must exceed 1")
-    U = np.asarray(U, dtype=float)
-    bad_U = ~np.isfinite(U) | (U <= 0)
-    if bad_U.any():
-        raise PreconditionFailed("psi", int(np.flatnonzero(bad_U)[0]))
     psi_U = psi(problem, U)
     phi(problem, U, psi_u=psi_U)  # run for its overflow guard alone
 
@@ -430,16 +411,15 @@ def check_moment_condition(
 def check_radial(t_samples, theta_values, L_candidates) -> RadialResult:
     """Find the smallest cutoff beyond which a sampled profile decays.
 
-    The samples must be positive and bounded.  A candidate L passes when
-    the profile restricted to sample points >= L is non-increasing up to
-    1e-12; the smallest passing candidate is reported.
+    The samples must be finite and strictly positive.  A candidate L
+    passes when the profile restricted to sample points >= L is
+    non-increasing up to 1e-12; the smallest passing candidate is reported.
     """
     t = np.asarray(t_samples, dtype=float)
     th = np.asarray(theta_values, dtype=float)
     if t.shape != th.shape or t.ndim != 1:
         raise ValueError("t_samples and theta_values must be aligned vectors")
-    if (th <= 0).any() or not np.isfinite(th).all():
-        raise ValueError("profile samples must be positive and bounded")
+    th = _check_positive_finite(th, "profile samples", t.size)
     order = np.argsort(t)
     t, th = t[order], th[order]
     for L in sorted(float(x) for x in L_candidates):

@@ -79,10 +79,6 @@ class DegeneratePotential(ValueError):
 class MaxIterExceeded(RuntimeError):
     """An iteration budget ran out."""
 
-    def __init__(self, message: str, iterations: int = 0):
-        super().__init__(message)
-        self.iterations = iterations
-
 
 @dataclass
 class TraceRecord:
@@ -546,8 +542,7 @@ def sinkhorn_baseline(problem: DiscreteProblem, tol: float = 1e-10,
         if float(np.max(np.abs(b * col - nu))) <= tol:
             break
     else:
-        raise MaxIterExceeded(f"sinkhorn did not reach tol={tol:g} in {max_iter} iterations",
-                              iterations=max_iter)
+        raise MaxIterExceeded(f"sinkhorn did not reach tol={tol:g} in {max_iter} iterations")
     f, g = f + np.log(a), g + np.log(b)
     shift = _logsumexp(f.copy(), axis=0)  # the free scale, at sum(a) = 1 as in _solution
     sol = _solution(problem, *(

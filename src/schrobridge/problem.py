@@ -688,16 +688,20 @@ def _float_rows(path: str) -> list[list[float]]:
 
 def _load_csv_bundle(dirpath: str) -> dict:
     """The problem document of the bundle at ``dirpath``, each mass placed by
-    its index.  A cell that does not parse, or a ``marginals.csv`` space other
-    than ``x`` and ``y``, raises ParseError; a mass index out of range,
-    repeated or missing raises SchemaError; each names the file.  The
-    problem's own rules are :func:`problem_from_dict`'s, as for JSON."""
+    its index.  A cell that does not parse, a ``weights.csv`` row of more than
+    one cell, or a ``marginals.csv`` space other than ``x`` and ``y``, raises
+    ParseError; a mass index out of range, repeated or missing raises
+    SchemaError; each names the file.  The problem's own rules are
+    :func:`problem_from_dict`'s, as for JSON."""
     doc, masses = {}, {}  # a mass is None until its line is read
     for sub in ("x", "y"):
         wpath = os.path.join(dirpath, sub, "weights.csv")
         points = _float_rows(os.path.join(dirpath, sub, "points.csv"))
-        weights = [_float_cell(row[0], wpath, i + 1) for i, row in enumerate(_read_csv(wpath))]
-        doc[f"{sub}_space"] = {"points": points, "weights": weights}
+        weights = _float_rows(wpath)
+        for i, row in enumerate(weights):
+            if len(row) != 1:
+                raise ParseError(f"{wpath}: line {i + 1}: expected 1 field")
+        doc[f"{sub}_space"] = {"points": points, "weights": [row[0] for row in weights]}
         masses[sub] = [None] * len(points)
     mpath = os.path.join(dirpath, "marginals.csv")
     for i, row in enumerate(_read_csv(mpath)):

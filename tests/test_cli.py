@@ -510,6 +510,9 @@ def test_ceilings_index_the_x_points_that_carry_mass(tmp_path, capsys):
         (["gaussian-gen", "--input", "{triple}", "--half-width-sigmas", "-1"], None),
         (["check", "--input", "{triple2d}", "--points-per-dim", "1001"], None),
         (["gaussian-gen", "--input", "{triple2d}", "--points-per-dim", "1001"], None),
+        # grid options that a problem file would not read
+        (["check", "--points-per-dim", "4"], None),
+        (["check", "--half-width-sigmas", "-1"], None),
         (["check", "--finite-guard", "nan"], None),
         (["compare", "--gap-tol", "nan"], None),
         (["compare", "--gap-tol", "-1"], None),
@@ -530,7 +533,8 @@ def test_ceilings_index_the_x_points_that_carry_mass(tmp_path, capsys):
          "witness-index-float-fraction", "witness-index-bool", "witness-coefficient-string",
          "moment-r-without-U", "moment-r-gaussian", "check-points-even",
          "gen-points-even", "check-half-width-negative", "gen-half-width-negative",
-         "check-grid-too-large", "gen-grid-too-large", "finite-guard-nan", "gap-tol-nan",
+         "check-grid-too-large", "gen-grid-too-large", "points-problem-file",
+         "half-width-problem-file", "finite-guard-nan", "gap-tol-nan",
          "gap-tol-negative", "tol-nan", "report-not-utf8", "U-numeric-strings",
          "moment-U-bools", "triple-string-and-bool", "gen-list"],
 )
@@ -584,7 +588,7 @@ def test_options_and_defaults_are_pinned():
 
     files = {"--input": "in.json", "--output": None}
     solver = {"--format": "json", "--max-iter": 100_000, "--U": None}
-    grid = {"--points-per-dim": None, "--half-width-sigmas": 6.0}
+    grid = {"--points-per-dim": None, "--half-width-sigmas": None}
     expected = {
         "solve": {**files, **solver, "--scheme": "fortet", "--tol": 1e-10, "--trace": False},
         "check": {**files, **grid, "--format": "json", "--finite-guard": 1e15,
@@ -1032,6 +1036,25 @@ def test_bad_csv_bundle_kernel_cell_exit_one(tmp_path, capsys, cell, message):
     assert main(["solve", "--input", str(bundle), "--format", "csv-bundle",
                  "--output", str(out)]) == 1
     assert _one_error_line(capsys).endswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("1,abc", "bad float 'abc'"), ("1,inf", "non-finite value in problem input"),
+     ("1,2", "expected 1 field")],
+    ids=["word", "inf", "two-cells"],
+)
+def test_bad_csv_bundle_weights_row_exit_one(tmp_path, capsys, row, message):
+    bundle = tmp_path / "bundle"
+    save_problem(build_dense_problem([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5], [0.5, 0.5]),
+                 str(bundle), format="csv-bundle")
+    weights = bundle / "x" / "weights.csv"
+    weights.write_text(row + "\n" + weights.read_text().split("\n", 1)[1])
+    out = tmp_path / "sol.json"
+    assert main(["solve", "--input", str(bundle), "--format", "csv-bundle",
+                 "--output", str(out)]) == 1
+    assert _one_error_line(capsys) == f"error: {weights}: line 1: {message}\n"
     assert not out.exists()
 
 

@@ -205,6 +205,16 @@ def test_unregistered_radial_profile_cannot_serialize(tmp_path):
         save_problem(problem, str(tmp_path / "bad.json"))
 
 
+def test_unknown_kernel_type_cannot_serialize(tmp_path):
+    class Other:
+        def evaluate(self, x_points, y_points):
+            return np.ones((len(x_points), len(y_points)))
+
+    problem = _functional_problem(Other(), [[0.0]], [[0.0]])
+    with pytest.raises(SchemaError, match="^unknown kernel type Other$"):
+        save_problem(problem, str(tmp_path / "bad.json"))
+
+
 def test_csv_bundle_roundtrip(tmp_path, two_by_two):
     bundle = tmp_path / "bundle"
     save_problem(two_by_two, str(bundle), format="csv-bundle")
