@@ -52,9 +52,6 @@ from .problem import (
 #: of orders of magnitude.
 DIVERGENCE_GUARD = 1e15
 
-_UNIT_ROUNDOFF = 2.0**-53
-_TINY = 2.0**-1074  # the smallest subnormal double
-
 
 @dataclass(frozen=True)
 class IntegralDirection:
@@ -147,92 +144,41 @@ class CriteriaReport:
     scaling: ScalingCertificate | None = None
 
 
-#: rows summed side by side in :func:`_exact_column_sums`, one lane each
-_LANES = 16
+def _column_sums(P: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each column of ``P * w[:, None]``, its terms added in row index order.
 
-
-def _two_sum(p: np.ndarray, x: np.ndarray, q: np.ndarray, s: np.ndarray, z: np.ndarray,
-             e: np.ndarray) -> None:
-    """TwoSum of ``p`` and ``x`` (Knuth): ``s = fl(p + x)``, and its error, with
-    ``s + error == p + x`` exactly, added into ``q``.  ``z`` and ``e`` are scratch."""
-    np.add(p, x, out=s)
-    np.subtract(s, p, out=z)
-    np.subtract(s, z, out=e)
-    np.subtract(p, e, out=e)
-    np.subtract(x, z, out=z)
-    np.add(e, z, out=e)
-    np.add(q, e, out=q)
-
-
-def _exact_column_sums(P: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each column of ``P * w[:, None]``, bit for bit, for nonnegative P and w.
-
-    Sum2 of Ogita, Rump & Oishi 2005 (*Accurate sum and dot product*),
-    vectorized across the columns and across ``_LANES`` lanes of rows
-    (row ``lo + l`` of each block goes to lane ``l``; zeros pad the last
-    block, and a TwoSum with a zero operand is exact), the lanes then
-    joined by a cascade of TwoSums.  For nonnegative terms any tree with
-    at most ``n - 1`` TwoSums of two nonzero operands leaves a rounded
-    sum ``p`` whose errors have ``sum |e| <= gamma_{n-1} s``, and their
-    float sum ``q`` is within ``gamma_{n-2} sum |e|`` of that, so ``|p +
-    q - s| <= gamma_{n-1}^2 s`` for the exact sum ``s``, as for the plain
-    cascade (which this is for ``n <= _LANES``).  One more TwoSum gives
-    ``r + f == p + q`` exactly, so ``r`` is the correctly rounded ``s``
-    -- what ``fsum`` returns -- when ``|f|`` plus that bound stays below
-    half the gap from ``r`` to its nearer neighbouring double.  The bound
-    is taken as ``2 gamma_{n-1}^2 r`` plus the smallest subnormal, which
-    covers ``s > r`` and the rounding of the test itself.  Every other
-    column (a tie, a non-finite partial sum, an all-zero column) is
-    summed by ``math.fsum``.  Work memory is O(``_LANES`` times the
-    number of columns).
+    Every entry is the same sequence of roundings whatever the memory
+    layout of ``P``, so ``P.T`` and a C-ordered copy of it give the same
+    bits; ``w @ P`` and ``P.T @ w`` do not (their order follows the layout
+    and the BLAS threads).  For nonnegative terms each entry is within
+    ``gamma_{n-1} = (n-1) u / (1 - (n-1) u)``, ``u = 2^-53``, relative of
+    the exact sum (Higham 1993, *The accuracy of floating point
+    summation*), and is zero exactly when every term is.
     """
-    n, m = P.shape
-    g = (n - 1) * _UNIT_ROUNDOFF / (1.0 - (n - 1) * _UNIT_ROUNDOFF)
-    k = min(n, _LANES)
-    p, q, x, s, z, e = (np.zeros((k, m)) for _ in range(6))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, k):
-            rows = min(k, n - lo)
-            np.multiply(P[lo:lo + rows], w[lo:lo + rows, None], out=x[:rows])
-            x[rows:] = 0.0
-            _two_sum(p, x, q, s, z, e)
-            p, s = s, p
-        lane_p, lane_q = p, q
-        p, q, s, z, e = p[0], q[0], s[0], z[0], e[0]
-        for lane in range(1, k):
-            _two_sum(p, lane_p[lane], q, s, z, e)
-            np.add(q, lane_q[lane], out=q)
-            p, s = s, p
-        r = p + q
-        z = r - p
-        f = (p - (r - z)) + (q - z)
-        gap = np.minimum(r - np.nextafter(r, 0.0), np.nextafter(r, INF) - r)
-        exact = np.abs(f) + (2.0 * g * g * r + _TINY) < 0.5 * gap
-    for j in np.flatnonzero(~exact):
-        r[j] = math.fsum(P[:, j] * w)
-    return r
+    out = np.zeros(P.shape[1])
+    with np.errstate(over="ignore"):
+        for row, weight in zip(P, w):
+            out += row * weight
+    return out
 
 
 def _integral_direction(P: np.ndarray, inner_marginal: np.ndarray,
                         outer_marginal: np.ndarray, guard: float) -> IntegralDirection:
     """``sum_j outer_j / inner_j`` with ``inner_j = sum_i P[i,j] inner_marginal_i``.
 
-    Both sums are exactly rounded.  The inner ones come from one pass of
-    Sum2 (Ogita, Rump & Oishi 2005) across all columns, in lanes of rows
-    joined at the end; for nonnegative terms the error bound of any tree
-    of TwoSums is the cascade's, so a column is accepted when ``|f| + 2
-    gamma_{n-1}^2 r`` stays below half the gap from ``r`` to its nearer
-    neighbouring double, with ``math.fsum`` for the rest (see
-    :func:`_exact_column_sums`); the outer one is one ``math.fsum``.
+    The inner sums are :func:`_column_sums`; the outer one is one
+    ``math.fsum``, INF when finite terms sum past the float range.
     """
-    # exactly rounded sums keep the verdict independent of summation
-    # order, so transposing the problem swaps the directions bit-for-bit
-    inner = _exact_column_sums(P, inner_marginal)
+    inner = _column_sums(P, inner_marginal)
     zero = inner == 0.0
     if (zero & (outer_marginal > 0)).any():
         return IntegralDirection(value=INF, finite=False)
     with np.errstate(over="ignore"):
-        value = math.fsum(outer_marginal[~zero] / inner[~zero])
+        terms = outer_marginal[~zero] / inner[~zero]
+    try:
+        value = math.fsum(terms)
+    except OverflowError:  # "intermediate overflow": every term finite, their sum is not
+        value = INF
     return IntegralDirection(value=float(value), finite=bool(value < guard))
 
 
@@ -244,9 +190,9 @@ def check_integral_criterion(
     The x->y direction sums ``nu_j / (sum_i P[i,j] mu_i)``; a zero inner
     sum against positive nu-mass makes the value INF.  The y->x direction
     exchanges the roles of the marginals.  ``finite`` means not INF and
-    below the divergence guard.  Every sum is exactly rounded, so the
-    values do not depend on summation order and the directions of the
-    transposed problem are these, swapped, bit for bit.
+    below the divergence guard.  The inner sums add their terms in one
+    fixed order, whatever the layout of the kernel matrix, so the
+    directions of the transposed problem are these, swapped, bit for bit.
     """
     P = kernel_matrix(problem)
     return IntegralCriterionResult(

@@ -193,6 +193,19 @@ def test_check_discrete_constant_kernel(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("entry", [3.5e-309, 2e-309], ids=["finite-terms", "infinite-terms"])
+def test_check_integral_past_the_float_range_is_inf_exit_four(tmp_path, capsys, entry):
+    # 0.5 / 3.5e-309 is finite but two such terms sum past the float range;
+    # 0.5 / 2e-309 is inf itself
+    problem = build_dense_problem(np.full((2, 2), entry), [0.5, 0.5], [0.5, 0.5])
+    path, out = tmp_path / "p.json", tmp_path / "r.json"
+    save_problem(problem, str(path))
+    assert main(["check", "--input", str(path), "--output", str(out)]) == 4
+    assert capsys.readouterr().err == ""
+    integral = read(out)["integral"]
+    assert integral["xy"] == integral["yx"] == {"finite": False, "value": "inf"}
+
+
 def test_compare_two_by_two(tmp_path, two_by_two_file):
     out = tmp_path / "cmp.json"
     code = main(["compare", "--input", two_by_two_file, "--output", str(out)])
